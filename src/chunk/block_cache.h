@@ -1,9 +1,10 @@
-// AdmissionChunkCache: a sharded, byte-capped block cache with a
-// TinyLFU-style admission policy, for the disk-read path (ROADMAP
-// item 4a: "block/chunk cache with an admission policy in front of
-// LogChunkStore disk reads").
+// AdmissionChunkCache: the chunk layer's one chunk cache — a sharded,
+// byte-capped cache with a TinyLFU-style admission policy. It fronts
+// the LogChunkStore / LsmChunkStore disk reads (the block cache), the
+// ServletChunkStore pool-scan / peer-fetch fallback and the
+// RemoteChunkStore client side of the wire.
 //
-// Why not just LruChunkCache? Plain LRU is scan-vulnerable: a single
+// Why not plain LRU? Plain LRU is scan-vulnerable: a single
 // pass over a large dataset (bulk GetBatch, a POS-tree diff across an
 // old version) evicts the whole hot set while inserting chunks that
 // will never be read again. This cache keeps a compact frequency
@@ -41,6 +42,8 @@
 
 namespace fb {
 
+struct ChunkStoreStats;
+
 struct BlockCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -55,6 +58,9 @@ struct BlockCacheStats {
 class AdmissionChunkCache {
  public:
   static constexpr size_t kDefaultCapacityBytes = 32u << 20;
+  // Default budget of the caches that front a network hop or a pool
+  // scan rather than a disk (ServletChunkStore fallback, RemoteChunkStore).
+  static constexpr size_t kFallbackCapacityBytes = 8u << 20;
   static constexpr size_t kDefaultShards = 8;
 
   explicit AdmissionChunkCache(size_t capacity_bytes = kDefaultCapacityBytes,
@@ -76,6 +82,9 @@ class AdmissionChunkCache {
   size_t size_bytes() const;
   size_t entries() const;
   BlockCacheStats stats() const;
+  // Adds this cache's counters to the cache_* fields of `*out` — the
+  // one place a store folds its cache into its ChunkStoreStats.
+  void AddStatsTo(ChunkStoreStats* out) const;
 
  private:
   // A 4-row count-min sketch with 8-bit saturating counters, halved

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/sha256.h"
 #include "util/slice.h"
@@ -118,6 +120,9 @@ class Chunk {
   ChunkType type_;
   Bytes payload_;
 };
+
+// A batch of (cid, chunk) pairs for the bulk write path.
+using ChunkBatch = std::vector<std::pair<Hash, Chunk>>;
 
 }  // namespace fb
 

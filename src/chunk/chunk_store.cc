@@ -96,43 +96,10 @@ bool MemChunkStore::Contains(const Hash& cid) const {
 }
 
 Status MemChunkStore::PutBatch(const ChunkBatch& batch) {
-  std::vector<PendingInsert> entries;
-  entries.reserve(batch.size());
-  for (const auto& [cid, chunk] : batch) {
-    entries.push_back(PendingInsert{&cid, &chunk});
-  }
-  return EnqueueAndWait(entries.data(), entries.size());
+  return committer_.Commit(batch);
 }
 
-Status MemChunkStore::EnqueueAndWait(const PendingInsert* entries, size_t n) {
-  if (n == 0) return Status::OK();
-  MutexLock ql(gc_mu_);
-  gc_queue_.insert(gc_queue_.end(), entries, entries + n);
-  gc_enqueued_ += n;
-  const uint64_t target = gc_enqueued_;
-
-  while (gc_done_ < target) {
-    if (gc_combiner_active_) {
-      gc_cv_.Wait(gc_mu_);
-      continue;
-    }
-    gc_combiner_active_ = true;
-    while (!gc_queue_.empty()) {
-      std::vector<PendingInsert> group = std::move(gc_queue_);
-      gc_queue_.clear();
-      ql.Unlock();
-      CommitGroup(group);
-      ql.Lock();
-      gc_done_ += group.size();
-      gc_cv_.SignalAll();
-    }
-    gc_combiner_active_ = false;
-    gc_cv_.SignalAll();
-  }
-  return Status::OK();
-}
-
-void MemChunkStore::CommitGroup(const std::vector<PendingInsert>& group) {
+void MemChunkStore::CommitGroup(const GroupCommitter::Group& group) {
   // Group positions by shard, then take each shard's lock exactly once
   // for the whole drained group — across every caller that enqueued
   // into it. Within a shard records land in enqueue order, so duplicate
@@ -347,7 +314,7 @@ Status LogChunkStore::SyncActive() {
   return Status::OK();
 }
 
-Status LogChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
+Status LogChunkStore::CommitGroup(const GroupCommitter::Group& group) {
   MutexLock lock(mu_);
 
   // Records are packed into `buf` and written with one fwrite per
@@ -359,7 +326,7 @@ Status LogChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
   std::vector<uint64_t> staged_sizes;
   std::unordered_set<Hash, HashHasher> staged_cids;
 
-  for (const PendingAppend& p : group) {
+  for (const GroupCommitter::Record& p : group) {
     const Hash& cid = *p.cid;
     const Chunk& chunk = *p.chunk;
     if (index_.count(cid) > 0 || staged_cids.count(cid) > 0) {
@@ -419,50 +386,12 @@ Status LogChunkStore::FlushStaged(
   return Status::OK();
 }
 
-Status LogChunkStore::EnqueueAndWait(const PendingAppend* entries, size_t n) {
-  if (n == 0) return Status::OK();
-  MutexLock ql(gc_mu_);
-  if (!gc_error_.ok()) return gc_error_;
-  gc_queue_.insert(gc_queue_.end(), entries, entries + n);
-  gc_enqueued_ += n;
-  const uint64_t target = gc_enqueued_;
-
-  while (gc_durable_ < target) {
-    if (gc_combiner_active_) {
-      // Another writer is combining; it will cover our records or hand
-      // the combiner role back before they are reached.
-      gc_cv_.Wait(gc_mu_);
-      continue;
-    }
-    gc_combiner_active_ = true;
-    while (!gc_queue_.empty()) {
-      std::vector<PendingAppend> group = std::move(gc_queue_);
-      gc_queue_.clear();
-      ql.Unlock();
-      Status s = CommitGroup(group);
-      ql.Lock();
-      gc_durable_ += group.size();
-      if (!s.ok() && gc_error_.ok()) gc_error_ = s;
-      gc_cv_.SignalAll();
-    }
-    gc_combiner_active_ = false;
-    gc_cv_.SignalAll();
-  }
-  return gc_error_;
-}
-
 Status LogChunkStore::Put(const Hash& cid, const Chunk& chunk) {
-  const PendingAppend one{&cid, &chunk};
-  return EnqueueAndWait(&one, 1);
+  return committer_.Commit(cid, chunk);
 }
 
 Status LogChunkStore::PutBatch(const ChunkBatch& batch) {
-  std::vector<PendingAppend> entries;
-  entries.reserve(batch.size());
-  for (const auto& [cid, chunk] : batch) {
-    entries.push_back(PendingAppend{&cid, &chunk});
-  }
-  return EnqueueAndWait(entries.data(), entries.size());
+  return committer_.Commit(batch);
 }
 
 namespace {
@@ -591,15 +520,7 @@ bool LogChunkStore::Contains(const Hash& cid) const {
 
 ChunkStoreStats LogChunkStore::stats() const {
   ChunkStoreStats s = stats_.Snapshot();
-  if (block_cache_ != nullptr) {
-    const BlockCacheStats bc = block_cache_->stats();
-    s.cache_hits += bc.hits;
-    s.cache_misses += bc.misses;
-    s.cache_hit_bytes += bc.hit_bytes;
-    s.cache_miss_bytes += bc.miss_bytes;
-    s.cache_admissions += bc.admissions;
-    s.cache_rejections += bc.rejections;
-  }
+  if (block_cache_ != nullptr) block_cache_->AddStatsTo(&s);
   return s;
 }
 
@@ -609,64 +530,6 @@ Status LogChunkStore::Flush() {
     return Status::IOError("fflush");
   }
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// ChunkStorePool
-// ---------------------------------------------------------------------------
-
-ChunkStorePool::ChunkStorePool(size_t n_instances) {
-  stores_.reserve(n_instances);
-  for (size_t i = 0; i < n_instances; ++i) {
-    stores_.push_back(std::make_unique<MemChunkStore>());
-  }
-}
-
-Status ChunkStorePool::PutBatch(const ChunkBatch& batch) {
-  std::vector<ChunkBatch> by_instance(stores_.size());
-  for (const auto& pair : batch) {
-    by_instance[PartitionOf(pair.first)].push_back(pair);
-  }
-  for (size_t i = 0; i < stores_.size(); ++i) {
-    if (by_instance[i].empty()) continue;
-    FB_RETURN_NOT_OK(stores_[i]->PutBatch(by_instance[i]));
-  }
-  return Status::OK();
-}
-
-Status ChunkStorePool::GetBatch(const std::vector<Hash>& cids,
-                                std::vector<Chunk>* chunks) const {
-  chunks->resize(cids.size());
-  std::vector<std::vector<size_t>> by_instance(stores_.size());
-  for (size_t i = 0; i < cids.size(); ++i) {
-    by_instance[PartitionOf(cids[i])].push_back(i);
-  }
-  std::vector<Hash> sub_cids;
-  std::vector<Chunk> sub_chunks;
-  for (size_t p = 0; p < stores_.size(); ++p) {
-    if (by_instance[p].empty()) continue;
-    sub_cids.clear();
-    sub_cids.reserve(by_instance[p].size());
-    for (size_t i : by_instance[p]) sub_cids.push_back(cids[i]);
-    FB_RETURN_NOT_OK(stores_[p]->GetBatch(sub_cids, &sub_chunks));
-    for (size_t j = 0; j < by_instance[p].size(); ++j) {
-      (*chunks)[by_instance[p][j]] = std::move(sub_chunks[j]);
-    }
-  }
-  return Status::OK();
-}
-
-ChunkStoreStats ChunkStorePool::TotalStats() const {
-  ChunkStoreStats total;
-  for (const auto& s : stores_) total.Accumulate(s->stats());
-  return total;
-}
-
-std::vector<ChunkStoreStats> ChunkStorePool::PerInstanceStats() const {
-  std::vector<ChunkStoreStats> out;
-  out.reserve(stores_.size());
-  for (const auto& s : stores_) out.push_back(s->stats());
-  return out;
 }
 
 }  // namespace fb

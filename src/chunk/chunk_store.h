@@ -5,15 +5,19 @@
 // cid is a dedup hit and returns immediately. Two implementations:
 //
 //  * MemChunkStore — striped (sharded) hash map, used by tests and as the
-//    servlet cache. Stripes let concurrent writers touch disjoint shards
-//    without contending on one global mutex.
+//    instances of the in-process cluster's chunk pool. Stripes let
+//    concurrent writers touch disjoint shards without contending on one
+//    global mutex.
 //  * LogChunkStore — append-only log-structured segments on disk with an
 //    in-memory cid -> (segment, offset) index; mirrors the paper's
 //    persistence layout and supports recovery by replaying segments.
 //
-// ChunkStorePool models the distributed pool: N store instances with
-// cid-hash partitioning (the second layer of the two-layer partitioning
-// scheme of Section 4.6).
+// The cid-partitioned pool of Section 4.6 (the second layer of the
+// two-layer partitioning scheme) is ServletChunkStore over N
+// MemChunkStores, in src/cluster/cluster.h.
+//
+// Batched writes (and every LogChunkStore / LsmChunkStore write) go
+// through one GroupCommitter (chunk/group_commit.h) per store.
 //
 // All stores are thread-safe. The batched PutBatch/GetBatch entry points
 // amortize locking on the bulk-load hot path: callers that produce many
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "chunk/chunk.h"
+#include "chunk/group_commit.h"
 #include "util/mutex.h"
 #include "util/status.h"
 
@@ -142,9 +147,6 @@ class AtomicChunkStoreStats {
   std::atomic<uint64_t> logical_bytes_{0};
 };
 
-// A batch of (cid, chunk) pairs for the bulk write path.
-using ChunkBatch = std::vector<std::pair<Hash, Chunk>>;
-
 class ChunkStore;
 
 // Accumulates chunks and writes them through ChunkStore::PutBatch in
@@ -210,15 +212,15 @@ class ChunkStore {
 
 // In-memory content-addressed store, striped over `n_shards` independent
 // (mutex, hash map) pairs. Shard choice uses a different 64-bit slice of
-// the cid than ChunkStorePool's partitioner, so striping stays uniform
+// the cid than the cluster pool's partitioner, so striping stays uniform
 // even inside a single pool partition. Thread-safe.
 //
-// PutBatch group-commits: concurrent batched writers enqueue their
-// records and one caller (the combiner) drains the merged queue in a
-// single pass that takes each shard's lock once per drained group —
-// the same combiner discipline as LogChunkStore, minus durability.
+// PutBatch group-commits through the store's GroupCommitter: the
+// combiner inserts each drained group in a single pass that takes each
+// shard's lock once — the LogChunkStore discipline minus durability.
 // N servlet threads flushing coalesced put-groups into one pool
-// instance contend on the queue mutex only, not on every stripe.
+// instance contend on the queue mutex only, not on every stripe. A
+// single Put takes its stripe directly.
 class MemChunkStore : public ChunkStore {
  public:
   static constexpr size_t kDefaultShards = 16;
@@ -249,40 +251,19 @@ class MemChunkStore : public ChunkStore {
     std::unordered_map<Hash, Chunk, HashHasher> chunks GUARDED_BY(mu);
   };
 
-  // A record enqueued for the PutBatch group commit. Pointers refer
-  // into the caller's batch, which outlives the group: the caller
-  // blocks until its records are inserted.
-  struct PendingInsert {
-    const Hash* cid;
-    const Chunk* chunk;
-  };
-
   size_t ShardIndex(const Hash& cid) const {
     return static_cast<size_t>(cid.Mid64() % shards_.size());
   }
 
-  // Enqueues `n` records and blocks until they are inserted (possibly
-  // becoming the combiner that inserts them).
-  Status EnqueueAndWait(const PendingInsert* entries, size_t n)
-      EXCLUDES(gc_mu_);
   // Inserts one drained group: groups records by shard, then takes each
-  // shard's lock exactly once. Never holds gc_mu_ (the lock-rank order
-  // combiner -> shard also forbids the reverse nesting at runtime).
-  void CommitGroup(const std::vector<PendingInsert>& group)
-      EXCLUDES(gc_mu_);
+  // shard's lock exactly once.
+  void CommitGroup(const GroupCommitter::Group& group);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Group-commit queue (PutBatch only; single Put takes its stripe
-  // directly). gc_mu_ guards the bookkeeping below and is never held
-  // while shard locks are.
-  Mutex gc_mu_{kRankStoreCombiner, "mem-gc"};
-  CondVar gc_cv_;
-  std::vector<PendingInsert> gc_queue_ GUARDED_BY(gc_mu_);
-  uint64_t gc_enqueued_ GUARDED_BY(gc_mu_) = 0;
-  uint64_t gc_done_ GUARDED_BY(gc_mu_) = 0;
-  bool gc_combiner_active_ GUARDED_BY(gc_mu_) = false;
-
+  GroupCommitter committer_{"mem-gc", [this](const GroupCommitter::Group& g) {
+                              CommitGroup(g);
+                              return Status::OK();
+                            }};
   AtomicChunkStoreStats stats_;
 };
 
@@ -319,14 +300,14 @@ struct LogStoreOptions {
 // group-commit — is cut off and recovery keeps every fully-flushed record;
 // a short or tampered record anywhere else is still Corruption.
 //
-// Thread-safe, with group commit on the write path: concurrent Put /
-// PutBatch callers enqueue their records and one of them (the combiner)
-// drains the queue, writing each group with a single fwrite and applying
-// the durability policy once per group, so the durable write path no
-// longer serializes per chunk. A writer returns only after its own
-// records are committed. Reads resolve the record location under the
-// index lock but perform file I/O outside it, so Gets of already-flushed
-// records proceed in parallel with appends.
+// Thread-safe, with group commit on the write path: every Put / PutBatch
+// goes through the store's GroupCommitter, whose combiner writes each
+// drained group with a single fwrite and applies the durability policy
+// once per group, so the durable write path does not serialize per
+// chunk. A writer returns only after its own records are committed.
+// Reads resolve the record location under the index lock but perform
+// file I/O outside it, so Gets of already-flushed records proceed in
+// parallel with appends.
 //
 // Record format: [fixed32 len][cid 32B][chunk bytes (len)]
 class LogChunkStore : public ChunkStore {
@@ -360,30 +341,16 @@ class LogChunkStore : public ChunkStore {
     uint32_t length;  // chunk bytes length
   };
 
-  // A record enqueued for group commit. The pointers refer into the
-  // caller's batch, which outlives the group: the caller blocks until its
-  // records are committed.
-  struct PendingAppend {
-    const Hash* cid;
-    const Chunk* chunk;
-  };
-
   // Defined in chunk_store.cc: the ctor/dtor pair needs the complete
   // AdmissionChunkCache type behind block_cache_.
   LogChunkStore(std::string dir, LogStoreOptions options);
 
   Status Recover() EXCLUDES(mu_);
   Status RollSegment() REQUIRES(mu_);
-  // Enqueues `n` records and blocks until they are committed (possibly
-  // becoming the combiner that commits them).
-  Status EnqueueAndWait(const PendingAppend* entries, size_t n)
-      EXCLUDES(gc_mu_);
   // Writes one drained group: dedups against the index, packs the fresh
   // records into contiguous buffers (one fwrite each), applies the
-  // durability policy, publishes index entries. Takes mu_; never holds
-  // gc_mu_.
-  Status CommitGroup(const std::vector<PendingAppend>& group)
-      EXCLUDES(mu_, gc_mu_);
+  // durability policy, publishes index entries. Takes mu_.
+  Status CommitGroup(const GroupCommitter::Group& group) EXCLUDES(mu_);
   // Writes the packed records in *buf with one fwrite, syncs per
   // policy, then publishes the staged index entries and clears all four
   // staging containers. CommitGroup's inner step.
@@ -409,15 +376,11 @@ class LogChunkStore : public ChunkStore {
   uint32_t active_id_ GUARDED_BY(mu_) = 0;
   uint64_t active_off_ GUARDED_BY(mu_) = 0;
 
-  // Group-commit queue. gc_mu_ only guards the queue bookkeeping below;
-  // it is never held across file I/O (CommitGroup runs under mu_ alone).
-  Mutex gc_mu_{kRankStoreCombiner, "log-gc"};
-  CondVar gc_cv_;
-  std::vector<PendingAppend> gc_queue_ GUARDED_BY(gc_mu_);
-  uint64_t gc_enqueued_ GUARDED_BY(gc_mu_) = 0;  // records ever enqueued
-  uint64_t gc_durable_ GUARDED_BY(gc_mu_) = 0;   // committed (or failed)
-  bool gc_combiner_active_ GUARDED_BY(gc_mu_) = false;
-  Status gc_error_ GUARDED_BY(gc_mu_);  // sticky: an I/O error fails the store
+  // CommitGroup runs on the combiner with no queue lock held; a failed
+  // group's I/O error stays sticky and fails the store.
+  GroupCommitter committer_{"log-gc", [this](const GroupCommitter::Group& g) {
+                              return CommitGroup(g);
+                            }};
 
   // Read-through block cache over the segment files (nullptr when
   // options_.block_cache_bytes == 0). Consulted before the index,
@@ -426,51 +389,6 @@ class LogChunkStore : public ChunkStore {
   std::unique_ptr<AdmissionChunkCache> block_cache_;
 
   AtomicChunkStoreStats stats_;
-};
-
-// A pool of chunk-store instances partitioned by cid hash — the bottom
-// layer of the two-layer partitioning scheme. All instances are accessible
-// from any servlet (shared pool semantics). Thread-safe (each instance is).
-class ChunkStorePool {
- public:
-  explicit ChunkStorePool(size_t n_instances);
-
-  size_t size() const { return stores_.size(); }
-
-  // The instance responsible for `cid`.
-  ChunkStore* Route(const Hash& cid) {
-    return stores_[PartitionOf(cid)].get();
-  }
-  const ChunkStore* Route(const Hash& cid) const {
-    return stores_[PartitionOf(cid)].get();
-  }
-
-  size_t PartitionOf(const Hash& cid) const {
-    return static_cast<size_t>(cid.Low64() % stores_.size());
-  }
-
-  ChunkStore* instance(size_t i) { return stores_[i].get(); }
-  const ChunkStore* instance(size_t i) const { return stores_[i].get(); }
-
-  Status Put(const Hash& cid, const Chunk& chunk) {
-    return Route(cid)->Put(cid, chunk);
-  }
-  Status Get(const Hash& cid, Chunk* chunk) const {
-    return Route(cid)->Get(cid, chunk);
-  }
-
-  // Batched entry points: group by partition, then issue one sub-batch
-  // per instance so each partition's locks are taken once.
-  Status PutBatch(const ChunkBatch& batch);
-  Status GetBatch(const std::vector<Hash>& cids,
-                  std::vector<Chunk>* chunks) const;
-
-  // Aggregate and per-instance stats (Fig 15 storage balance).
-  ChunkStoreStats TotalStats() const;
-  std::vector<ChunkStoreStats> PerInstanceStats() const;
-
- private:
-  std::vector<std::unique_ptr<MemChunkStore>> stores_;
 };
 
 }  // namespace fb

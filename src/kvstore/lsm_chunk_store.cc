@@ -337,7 +337,7 @@ Status LsmChunkStore::CommitStaged(
   return Status::OK();
 }
 
-Status LsmChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
+Status LsmChunkStore::CommitGroup(const GroupCommitter::Group& group) {
   bool need_flush = false;
   {
     MutexLock lock(mu_);
@@ -346,7 +346,7 @@ Status LsmChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
     std::vector<std::pair<Hash, const Chunk*>> staged;
     std::unordered_set<Hash, HashHasher> staged_cids;
 
-    for (const PendingAppend& p : group) {
+    for (const GroupCommitter::Record& p : group) {
       const Hash& cid = *p.cid;
       const Chunk& chunk = *p.chunk;
       if (staged_cids.count(cid) > 0 || ContainsLocked(cid)) {
@@ -371,48 +371,12 @@ Status LsmChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
   return Status::OK();
 }
 
-Status LsmChunkStore::EnqueueAndWait(const PendingAppend* entries, size_t n) {
-  if (n == 0) return Status::OK();
-  MutexLock ql(gc_mu_);
-  if (!gc_error_.ok()) return gc_error_;
-  gc_queue_.insert(gc_queue_.end(), entries, entries + n);
-  gc_enqueued_ += n;
-  const uint64_t target = gc_enqueued_;
-
-  while (gc_durable_ < target) {
-    if (gc_combiner_active_) {
-      gc_cv_.Wait(gc_mu_);
-      continue;
-    }
-    gc_combiner_active_ = true;
-    while (!gc_queue_.empty()) {
-      std::vector<PendingAppend> group = std::move(gc_queue_);
-      gc_queue_.clear();
-      ql.Unlock();
-      Status s = CommitGroup(group);
-      ql.Lock();
-      gc_durable_ += group.size();
-      if (!s.ok() && gc_error_.ok()) gc_error_ = s;
-      gc_cv_.SignalAll();
-    }
-    gc_combiner_active_ = false;
-    gc_cv_.SignalAll();
-  }
-  return gc_error_;
-}
-
 Status LsmChunkStore::Put(const Hash& cid, const Chunk& chunk) {
-  const PendingAppend one{&cid, &chunk};
-  return EnqueueAndWait(&one, 1);
+  return committer_.Commit(cid, chunk);
 }
 
 Status LsmChunkStore::PutBatch(const ChunkBatch& batch) {
-  std::vector<PendingAppend> entries;
-  entries.reserve(batch.size());
-  for (const auto& [cid, chunk] : batch) {
-    entries.push_back(PendingAppend{&cid, &chunk});
-  }
-  return EnqueueAndWait(entries.data(), entries.size());
+  return committer_.Commit(batch);
 }
 
 Result<LsmChunkStore::RunPtr> LsmChunkStore::WriteSst(
@@ -751,15 +715,7 @@ bool LsmChunkStore::Contains(const Hash& cid) const {
 
 ChunkStoreStats LsmChunkStore::stats() const {
   ChunkStoreStats s = stats_.Snapshot();
-  if (block_cache_ != nullptr) {
-    const BlockCacheStats bc = block_cache_->stats();
-    s.cache_hits += bc.hits;
-    s.cache_misses += bc.misses;
-    s.cache_hit_bytes += bc.hit_bytes;
-    s.cache_miss_bytes += bc.miss_bytes;
-    s.cache_admissions += bc.admissions;
-    s.cache_rejections += bc.rejections;
-  }
+  if (block_cache_ != nullptr) block_cache_->AddStatsTo(&s);
   return s;
 }
 

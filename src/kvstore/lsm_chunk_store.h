@@ -17,8 +17,8 @@
 //
 // Layout under `dir`:
 //  * wal-<seq>.fbw   — write-ahead log of the current memtable, group
-//                      committed with the same combiner discipline (and
-//                      the same record format) as LogChunkStore:
+//                      committed through the same GroupCommitter (and
+//                      with the same record format) as LogChunkStore:
 //                      [fixed32 len][cid 32B][chunk bytes]. A flush
 //                      seals the WAL's contents into an SST and deletes
 //                      it; replay after a crash is idempotent because
@@ -134,11 +134,6 @@ class LsmChunkStore : public ChunkStore {
   };
   using RunPtr = std::shared_ptr<Run>;
 
-  struct PendingAppend {
-    const Hash* cid;
-    const Chunk* chunk;
-  };
-
   // Defined in lsm_chunk_store.cc: the ctor needs the complete
   // AdmissionChunkCache type behind block_cache_.
   LsmChunkStore(std::string dir, LsmChunkStoreOptions options);
@@ -152,11 +147,10 @@ class LsmChunkStore : public ChunkStore {
   // Builds a Run by scanning an SST file, verifying every cid.
   Result<RunPtr> LoadRun(const std::string& path, uint64_t seq, size_t tier);
 
-  // Group-commit plumbing (LogChunkStore's combiner discipline).
-  Status EnqueueAndWait(const PendingAppend* entries, size_t n)
-      EXCLUDES(gc_mu_);
-  Status CommitGroup(const std::vector<PendingAppend>& group)
-      EXCLUDES(mu_, gc_mu_, flush_mu_);
+  // Commits one group drained by committer_: WAL append + memtable
+  // publish under mu_, then (over threshold) a flush with mu_ released.
+  Status CommitGroup(const GroupCommitter::Group& group)
+      EXCLUDES(mu_, flush_mu_);
   // Appends the staged records to the WAL, syncs per policy, publishes
   // them into the memtable.
   Status CommitStaged(Bytes* buf,
@@ -204,14 +198,9 @@ class LsmChunkStore : public ChunkStore {
   uint64_t wal_seq_ GUARDED_BY(mu_) = 0;
   std::string wal_path_ GUARDED_BY(mu_);
 
-  // Group-commit queue; gc_mu_ never held across file I/O.
-  Mutex gc_mu_{kRankStoreCombiner, "lsm-gc"};
-  CondVar gc_cv_;
-  std::vector<PendingAppend> gc_queue_ GUARDED_BY(gc_mu_);
-  uint64_t gc_enqueued_ GUARDED_BY(gc_mu_) = 0;
-  uint64_t gc_durable_ GUARDED_BY(gc_mu_) = 0;
-  bool gc_combiner_active_ GUARDED_BY(gc_mu_) = false;
-  Status gc_error_ GUARDED_BY(gc_mu_);
+  GroupCommitter committer_{"lsm-gc", [this](const GroupCommitter::Group& g) {
+                              return CommitGroup(g);
+                            }};
 
   std::unique_ptr<AdmissionChunkCache> block_cache_;
 

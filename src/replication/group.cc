@@ -233,7 +233,12 @@ bool ReplicaGroup::ShipOnce(FollowerState* f) {
       return true;
     }
   }
-  if (f->stop.load(std::memory_order_acquire)) return true;
+  // The wait above can outlast a stop or a stall: a stalled follower
+  // must receive nothing, or a quorum could count its ack.
+  if (f->stop.load(std::memory_order_acquire) ||
+      f->stalled.load(std::memory_order_acquire)) {
+    return true;
+  }
   if (role_cache_.load(std::memory_order_acquire) != Role::kLeader) {
     return true;  // retired mid-flight; the stop flag follows
   }

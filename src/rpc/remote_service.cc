@@ -436,12 +436,7 @@ ChunkStoreStats RemoteChunkStore::stats() const {
       service_->CallControl(FrameType::kStoreStats, Slice());
   ChunkStoreStats stats;
   if (body.ok()) (void)DecodeStoreStats(Slice(*body), &stats);
-  if (cache_ != nullptr) {
-    stats.cache_hits += cache_->hits();
-    stats.cache_misses += cache_->misses();
-    stats.cache_hit_bytes += cache_->hit_bytes();
-    stats.cache_miss_bytes += cache_->miss_bytes();
-  }
+  if (cache_ != nullptr) cache_->AddStatsTo(&stats);
   return stats;
 }
 

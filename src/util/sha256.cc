@@ -311,6 +311,9 @@ void Sha256::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha256::Update(Slice data) {
+  // An empty Slice may carry a null data(); memcpy from it is undefined
+  // even for zero bytes.
+  if (data.size() == 0) return;
   total_len_ += data.size();
   const uint8_t* p = data.data();
   size_t n = data.size();

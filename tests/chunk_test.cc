@@ -1,19 +1,24 @@
 // Unit tests for the chunk layer: Chunk/Hash encoding, content-addressed
 // stores (memory + log-structured), dedup accounting, crash recovery and
-// tamper detection, and the cid-partitioned store pool.
+// tamper detection, the group-commit primitive and the chunk cache.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "chunk/block_cache.h"
 #include "chunk/chunk.h"
-#include "chunk/chunk_cache.h"
 #include "chunk/chunk_store.h"
+#include "chunk/group_commit.h"
 #include "cluster/cluster.h"
+#include "util/mutex.h"
 #include "util/random.h"
 
 namespace fb {
@@ -474,167 +479,85 @@ TEST(MemChunkStoreTest, StripingSpreadsAcrossShards) {
 }
 
 // ---------------------------------------------------------------------------
-// ChunkStorePool
+// GroupCommitter
 // ---------------------------------------------------------------------------
 
-TEST(ChunkStorePoolTest, RoutesByCidAndBalances) {
-  ChunkStorePool pool(8);
-  Rng rng(11);
-  for (int i = 0; i < 2000; ++i) {
-    Chunk c(ChunkType::kBlob, rng.BytesOf(64));
-    const Hash cid = c.ComputeCid();
-    ASSERT_TRUE(pool.Put(cid, c).ok());
-  }
-  const auto per = pool.PerInstanceStats();
-  ASSERT_EQ(per.size(), 8u);
-  uint64_t total = 0;
-  for (const auto& st : per) {
-    total += st.chunks;
-    // Cryptographic cids spread uniformly: each of 8 instances should get
-    // roughly 250 of 2000 chunks.
-    EXPECT_GT(st.chunks, 150u);
-    EXPECT_LT(st.chunks, 350u);
-  }
-  EXPECT_EQ(total, 2000u);
-}
-
-TEST(ChunkStorePoolTest, GetFindsChunkViaAnyRoute) {
-  ChunkStorePool pool(4);
-  Chunk c = MakeChunk(ChunkType::kMap, "routed");
-  const Hash cid = c.ComputeCid();
-  ASSERT_TRUE(pool.Put(cid, c).ok());
-  Chunk got;
-  ASSERT_TRUE(pool.Get(cid, &got).ok());
-  EXPECT_EQ(got.payload().ToString(), "routed");
-  EXPECT_TRUE(pool.Route(cid)->Contains(cid));
-}
-
-TEST(ChunkStorePoolTest, BatchedOpsRouteAcrossPartitions) {
-  ChunkStorePool pool(4);
-  Rng rng(47);
+TEST(GroupCommitterTest, CommitsInEnqueueOrderAndSkipsEmptyBatches) {
+  std::vector<Hash> seen;
+  int commits = 0;
+  GroupCommitter gc("test-gc", [&](const GroupCommitter::Group& g) {
+    ++commits;
+    for (const auto& r : g) seen.push_back(*r.cid);
+    return Status::OK();
+  });
   ChunkBatch batch;
-  for (int i = 0; i < 400; ++i) {
-    Chunk c(ChunkType::kBlob, rng.BytesOf(48));
+  for (int i = 0; i < 5; ++i) {
+    const Chunk c = MakeChunk(ChunkType::kBlob, "rec-" + std::to_string(i));
     batch.emplace_back(c.ComputeCid(), c);
   }
-  ASSERT_TRUE(pool.PutBatch(batch).ok());
-  EXPECT_EQ(pool.TotalStats().chunks, 400u);
-  // Every partition received its share.
-  for (const auto& st : pool.PerInstanceStats()) EXPECT_GT(st.chunks, 0u);
-
-  // Batched read returns chunks in request order, across partitions.
-  std::vector<Hash> cids;
-  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-    cids.push_back(it->first);
-  }
-  std::vector<Chunk> got;
-  ASSERT_TRUE(pool.GetBatch(cids, &got).ok());
-  for (size_t i = 0; i < cids.size(); ++i) {
-    EXPECT_EQ(got[i].ComputeCid(), cids[i]);
-  }
+  ASSERT_TRUE(gc.Commit(ChunkBatch()).ok());
+  EXPECT_EQ(commits, 0) << "an empty batch reached the callback";
+  ASSERT_TRUE(gc.Commit(batch).ok());
+  ASSERT_TRUE(gc.Commit(batch[0].first, batch[0].second).ok());
+  EXPECT_EQ(commits, 2);
+  ASSERT_EQ(seen.size(), 6u);
+  for (size_t i = 0; i < batch.size(); ++i) EXPECT_EQ(seen[i], batch[i].first);
+  EXPECT_EQ(seen[5], batch[0].first);
 }
 
-TEST(ChunkStorePoolTest, TotalStatsAggregates) {
-  ChunkStorePool pool(3);
-  for (int i = 0; i < 30; ++i) {
-    Chunk c(ChunkType::kBlob, ToBytes("v" + std::to_string(i)));
-    ASSERT_TRUE(pool.Put(c.ComputeCid(), c).ok());
+TEST(GroupCommitterTest, FailedCommitIsStickyForItsWaitersAndLaterCalls) {
+  // The first group commits; every later group fails. Writers that
+  // queue behind a blocked combiner land in a failing group (or arrive
+  // after the failure): either way they see the error, and once it is
+  // recorded no call reaches the callback again.
+  Mutex gate_mu{kRankUnranked, "test-gate"};
+  CondVar gate_cv;
+  bool first_started = false;
+  bool release_first = false;
+  std::atomic<int> calls{0};
+  GroupCommitter gc("test-gc", [&](const GroupCommitter::Group&) {
+    if (calls.fetch_add(1) == 0) {
+      MutexLock l(gate_mu);
+      first_started = true;
+      gate_cv.SignalAll();
+      while (!release_first) gate_cv.Wait(gate_mu);
+      return Status::OK();
+    }
+    return Status::IOError("disk on fire");
+  });
+
+  const Chunk a = MakeChunk(ChunkType::kBlob, "first");
+  const Chunk b = MakeChunk(ChunkType::kBlob, "second");
+  const Chunk c = MakeChunk(ChunkType::kBlob, "third");
+  std::thread first([&] { (void)gc.Commit(a.ComputeCid(), a); });
+  {
+    MutexLock l(gate_mu);
+    while (!first_started) gate_cv.Wait(gate_mu);
   }
-  EXPECT_EQ(pool.TotalStats().chunks, 30u);
-  EXPECT_EQ(pool.TotalStats().puts, 30u);
-}
-
-// ---------------------------------------------------------------------------
-// LruChunkCache + the ServletChunkStore fallback cache
-// ---------------------------------------------------------------------------
-
-TEST(LruChunkCacheTest, HitsMissesAndRefresh) {
-  LruChunkCache cache(1 << 20);
-  const Chunk a = MakeChunk(ChunkType::kBlob, "aaaa");
-  const Hash ca = a.ComputeCid();
-  Chunk out;
-  EXPECT_FALSE(cache.Get(ca, &out));
-  cache.Put(ca, a);
-  ASSERT_TRUE(cache.Get(ca, &out));
-  EXPECT_EQ(out.payload().ToString(), "aaaa");
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  // Re-putting the same cid charges nothing extra.
-  const size_t bytes = cache.size_bytes();
-  cache.Put(ca, a);
-  EXPECT_EQ(cache.size_bytes(), bytes);
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
-TEST(LruChunkCacheTest, EvictsLeastRecentlyUsedByBytes) {
-  // Budget for roughly two of the three chunks (each ~100B + type byte).
-  std::vector<Chunk> chunks;
-  std::vector<Hash> cids;
-  for (int i = 0; i < 3; ++i) {
-    chunks.push_back(MakeChunk(ChunkType::kBlob, std::string(100, 'a' + i)));
-    cids.push_back(chunks.back().ComputeCid());
+  Status sb, sc;
+  std::thread tb([&] { sb = gc.Commit(b.ComputeCid(), b); });
+  std::thread tc([&] { sc = gc.Commit(c.ComputeCid(), c); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    MutexLock l(gate_mu);
+    release_first = true;
+    gate_cv.SignalAll();
   }
-  LruChunkCache cache(2 * chunks[0].serialized_size() + 10);
-  cache.Put(cids[0], chunks[0]);
-  cache.Put(cids[1], chunks[1]);
-  Chunk out;
-  // Touch 0 so 1 becomes the LRU victim.
-  ASSERT_TRUE(cache.Get(cids[0], &out));
-  cache.Put(cids[2], chunks[2]);
-  EXPECT_TRUE(cache.Get(cids[0], &out));
-  EXPECT_FALSE(cache.Get(cids[1], &out)) << "LRU entry survived eviction";
-  EXPECT_TRUE(cache.Get(cids[2], &out));
-  EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
+  first.join();
+  tb.join();
+  tc.join();
+  EXPECT_EQ(sb.code(), StatusCode::kIOError) << sb.ToString();
+  EXPECT_EQ(sc.code(), StatusCode::kIOError) << sc.ToString();
+  EXPECT_EQ(sb.ToString(), sc.ToString());
 
-  // A chunk bigger than the whole budget is refused outright.
-  const Chunk huge = MakeChunk(ChunkType::kBlob, std::string(1000, 'z'));
-  cache.Put(huge.ComputeCid(), huge);
-  EXPECT_FALSE(cache.Get(huge.ComputeCid(), &out));
-}
-
-TEST(LruChunkCacheTest, ReinsertReplacesChargeInsteadOfDoubleCounting) {
-  // Regression: re-inserting an existing cid must REPLACE the old
-  // entry's byte charge. The old code refreshed recency and returned,
-  // which was correct for identical bytes but kept no accounting path
-  // for a replacement — and any variant that re-charged would let
-  // bytes_ creep past capacity_ with no extra entries to evict.
-  const Chunk small = MakeChunk(ChunkType::kBlob, std::string(100, 's'));
-  const Chunk large = MakeChunk(ChunkType::kBlob, std::string(300, 'l'));
-  const Hash cid = small.ComputeCid();  // cache keys on the caller's cid
-  LruChunkCache cache(1000);
-
-  // Alternating overwrites of ONE cid: the charge must track the stored
-  // chunk, the entry count must stay 1, and the budget must always hold.
-  for (int round = 0; round < 50; ++round) {
-    const Chunk& chunk = (round % 2 == 0) ? small : large;
-    cache.Put(cid, chunk);
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.size_bytes(), chunk.serialized_size());
-    EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
-  }
-
-  // The replaced entry serves the latest bytes.
-  Chunk out;
-  ASSERT_TRUE(cache.Get(cid, &out));
-  EXPECT_EQ(out.payload_size(), large.payload_size());
-
-  // Same-chunk re-puts stay charge-neutral (the content-addressed case).
-  const size_t bytes = cache.size_bytes();
-  for (int i = 0; i < 10; ++i) cache.Put(cid, large);
-  EXPECT_EQ(cache.size_bytes(), bytes);
-  EXPECT_EQ(cache.entries(), 1u);
-
-  // Overwrites alongside other residents never push past the budget.
-  LruChunkCache mixed(4 * small.serialized_size());
-  std::vector<Chunk> fill;
-  for (int i = 0; i < 3; ++i) {
-    fill.push_back(MakeChunk(ChunkType::kBlob, std::string(100, 'a' + i)));
-    mixed.Put(fill.back().ComputeCid(), fill.back());
-  }
-  for (int round = 0; round < 20; ++round) {
-    mixed.Put(cid, (round % 2 == 0) ? large : small);
-    EXPECT_LE(mixed.size_bytes(), mixed.capacity_bytes());
-  }
+  // Sticky: later calls fail without another commit attempt.
+  const int calls_after = calls.load();
+  EXPECT_GE(calls_after, 2);
+  const Status later = gc.Commit(a.ComputeCid(), a);
+  EXPECT_EQ(later.code(), StatusCode::kIOError) << later.ToString();
+  ChunkBatch batch{{b.ComputeCid(), b}};
+  EXPECT_EQ(gc.Commit(batch).code(), StatusCode::kIOError);
+  EXPECT_EQ(calls.load(), calls_after);
 }
 
 // ---------------------------------------------------------------------------
@@ -663,7 +586,7 @@ TEST(AdmissionChunkCacheTest, HitPromotesAndCountsBytes) {
 }
 
 TEST(AdmissionChunkCacheTest, OneTouchScanCannotDisplaceHotResidents) {
-  // The scan-resistance property LruChunkCache lacks: a long one-touch
+  // The scan-resistance property plain LRU lacks: a long one-touch
   // scan over a full cache must bounce off the admission duel, leaving
   // the multi-touch hot set resident.
   std::vector<Chunk> hot;
@@ -768,6 +691,36 @@ TEST(AdmissionChunkCacheTest, EvictionTakesProbationTailBeforeProtected) {
   EXPECT_TRUE(cache.Contains(c.ComputeCid()));
 }
 
+TEST(AdmissionChunkCacheTest, ReinsertUnderOneCidNeverDoubleCounts) {
+  // The same cid offered again with different bytes (only a dishonest
+  // caller can do this: content addressing makes the bytes identical)
+  // must not stack a second charge — size_bytes() stays within
+  // capacity with no extra entry to evict for it.
+  const Chunk small = MakeChunk(ChunkType::kBlob, std::string(100, 's'));
+  const Chunk large = MakeChunk(ChunkType::kBlob, std::string(300, 'l'));
+  const Hash cid = small.ComputeCid();  // cache keys on the caller's cid
+  AdmissionChunkCache cache(1000, /*n_shards=*/1);
+
+  for (int round = 0; round < 50; ++round) {
+    cache.Put(cid, (round % 2 == 0) ? small : large);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(cache.size_bytes(), small.serialized_size());
+    EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
+  }
+
+  // Re-offers alongside other residents never push past the budget.
+  AdmissionChunkCache mixed(4 * small.serialized_size(), /*n_shards=*/1);
+  for (int i = 0; i < 3; ++i) {
+    const Chunk fill =
+        MakeChunk(ChunkType::kBlob, std::string(100, 'a' + i));
+    mixed.Put(fill.ComputeCid(), fill);
+  }
+  for (int round = 0; round < 20; ++round) {
+    mixed.Put(cid, (round % 2 == 0) ? large : small);
+    EXPECT_LE(mixed.size_bytes(), mixed.capacity_bytes());
+  }
+}
+
 TEST(AdmissionChunkCacheTest, OversizedChunkIsNeverCached) {
   const Chunk huge = MakeChunk(ChunkType::kBlob, std::string(4000, 'z'));
   AdmissionChunkCache cache(1000, /*n_shards=*/1);
@@ -781,7 +734,7 @@ TEST(ServletChunkStoreTest, FallbackCacheAbsorbsRepeatedPoolScans) {
   // A data chunk parked where neither the cid route nor the local
   // instance expects it (the footprint of a foreign placement policy)
   // is found by the pool-scan fallback once, then served from the
-  // servlet's LRU cache.
+  // servlet's fallback chunk cache.
   std::vector<std::unique_ptr<MemChunkStore>> pool;
   for (int i = 0; i < 4; ++i) pool.push_back(std::make_unique<MemChunkStore>());
   ServletChunkStore view(&pool, /*local_id=*/0, /*two_layer=*/true);

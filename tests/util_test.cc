@@ -145,6 +145,18 @@ TEST(Sha256Test, ResetReuses) {
   EXPECT_EQ(h.Finalize(), Sha256::Hash("abc"));
 }
 
+TEST(Sha256Test, EmptyUpdateMidStreamIsANoOp) {
+  // An empty Slice carries a null data(); feeding one while the block
+  // buffer is part-full must neither touch the buffer nor the length.
+  const std::string msg = "part of a block, then more";
+  Sha256 h;
+  h.Update(Slice(msg.data(), 7));
+  h.Update(Slice());
+  h.Update(Slice(Bytes()));
+  h.Update(Slice(msg.data() + 7, msg.size() - 7));
+  EXPECT_EQ(h.Finalize(), Sha256::Hash(msg));
+}
+
 // Boundary lengths around the 55/56/64-byte padding edges.
 TEST(Sha256Test, PaddingBoundaries) {
   for (size_t n : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 121u}) {
