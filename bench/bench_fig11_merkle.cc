@@ -38,7 +38,7 @@ void PrintCdf(const char* name, LatencyRecorder* rec, bench::BenchJson* json) {
     const double ms = rec->Percentile(p) / 1e3;
     std::snprintf(buf, sizeof(buf), " %9.3f", ms);
     line += buf;
-    char key[16];
+    char key[32];
     std::snprintf(key, sizeof(key), "p%g_ms", p);
     json->Num(key, ms);
   }

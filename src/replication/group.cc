@@ -266,11 +266,7 @@ bool ReplicaGroup::ShipOnce(FollowerState* f) {
   // expects — rewind on gaps, advance on success (the follower's
   // count-based skip dedups overlap on resends).
   f->next.store(acked, std::memory_order_release);
-  {
-    MutexLock lock(state_mu_);
-    f->acked.store(acked, std::memory_order_release);
-    state_cv_.SignalAll();
-  }
+  RecordAck(f, acked);
   return true;
 }
 
@@ -303,12 +299,41 @@ bool ReplicaGroup::ShipSnapshot(FollowerState* f) {
   snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
   f->needs_snapshot.store(false, std::memory_order_release);
   f->next.store(acked, std::memory_order_release);
+  RecordAck(f, acked);
+  return true;
+}
+
+void ReplicaGroup::RecordAck(FollowerState* f, uint64_t acked) {
   {
     MutexLock lock(state_mu_);
     f->acked.store(acked, std::memory_order_release);
     state_cv_.SignalAll();
   }
-  return true;
+  TrimAcked();
+}
+
+void ReplicaGroup::TrimAcked() {
+  // Log offsets before state_mu_ (the log mutex ranks below it). Records
+  // appended since are above `floor`, so trimming to it is safe.
+  uint64_t floor = log_.end_offset();
+  {
+    MutexLock lock(state_mu_);
+    if (role_ != Role::kLeader) return;
+    // A member that has not registered yet may still replay from an
+    // offset nobody else needs; until all have, trim nothing.
+    for (const std::string& m : options_.members) {
+      if (m == options_.self) continue;
+      const bool registered =
+          std::any_of(followers_.begin(), followers_.end(),
+                      [&](const auto& f) { return f->endpoint == m; });
+      if (!registered) return;
+    }
+    for (const auto& f : followers_) {
+      floor = std::min(floor, f->acked.load(std::memory_order_acquire));
+    }
+  }
+  // A follower that re-registers below `floor` meanwhile gets a snapshot.
+  log_.TrimTo(floor);
 }
 
 // --- receiver side ----------------------------------------------------------
@@ -353,8 +378,8 @@ Status ReplicaGroup::HandleAppend(Slice body, Bytes* resp) {
     Status as = ApplyRecord(rec);
     if (!as.ok()) {
       // Counted, not fatal: overlap replays of non-idempotent ops (a
-      // re-removed branch) land here; the stream stays aligned because
-      // ApplyRecord appended the record to our log regardless.
+      // re-removed branch) land here; the offset advances regardless,
+      // so the stream stays aligned with the leader's.
       apply_errors_.fetch_add(1, std::memory_order_relaxed);
     }
     applied_next_.store(prev + n + 1, std::memory_order_release);
@@ -366,10 +391,6 @@ Status ReplicaGroup::HandleAppend(Slice body, Bytes* resp) {
 }
 
 Status ReplicaGroup::ApplyRecord(const ReplRecord& rec) {
-  // Append first so our log end stays aligned with applied_next_ even
-  // when the apply itself errors — a promoted ex-follower ships from
-  // this log, and offsets are group-global.
-  log_.Append(rec);
   ApplyingScope guard;
   if (rec.kind == ReplRecord::Kind::kChunk) {
     Chunk chunk;
@@ -420,7 +441,7 @@ Status ReplicaGroup::HandleSnapshot(Slice body, Bytes* resp) {
   }
   // The snapshot replaces everything we held — including a longer
   // history: post-promotion wholesale convergence may rewind us to the
-  // new leader's state.
+  // new leader's state. An ex-leader drops the records it still held.
   log_.Reset(off);
   applied_next_.store(off, std::memory_order_release);
   snapshots_applied_.fetch_add(1, std::memory_order_relaxed);
@@ -447,14 +468,16 @@ Status ReplicaGroup::HandleStatus(Slice body, Bytes* resp) {
 GroupStatus ReplicaGroup::Snapshot() const {
   GroupStatus st;
   // Log offsets before state_mu_ (the log mutex ranks below it).
-  st.log_end = log_.end_offset();
-  st.acked = applied_next_.load(std::memory_order_acquire);
+  const uint64_t log_end = log_.end_offset();
+  const uint64_t applied = applied_next_.load(std::memory_order_acquire);
   MutexLock lock(state_mu_);
   st.epoch = epoch_;
   st.role = static_cast<uint8_t>(role_);
   st.leader = leader_;
   st.follower_count = followers_.size();
-  if (role_ == Role::kLeader) st.acked = st.log_end;
+  // A follower keeps no records: its log ends at its applied offset.
+  st.log_end = role_ == Role::kLeader ? log_end : applied;
+  st.acked = st.log_end;
   return st;
 }
 
@@ -613,7 +636,10 @@ void ReplicaGroup::MonitorLoop() {
     }
     if (stop_.load(std::memory_order_acquire)) break;
     if (role_cache_.load(std::memory_order_acquire) == Role::kLeader) {
-      continue;  // leaders push; nothing to watch
+      // Leaders push; nothing to watch. With no follower registered no
+      // ack ever trims, so a lone member trims on this tick.
+      TrimAcked();
+      continue;
     }
     int64_t silence =
         NowMs() - last_contact_ms_.load(std::memory_order_acquire);
@@ -651,6 +677,7 @@ ReplicaGroupStats ReplicaGroup::stats() const {
   s.stale_rejections = stale_rejections_.load(std::memory_order_relaxed);
   s.promotions = promotions_.load(std::memory_order_relaxed);
   s.step_downs = step_downs_.load(std::memory_order_relaxed);
+  s.log_retained_records = log_.retained();
   return s;
 }
 

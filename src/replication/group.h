@@ -7,14 +7,21 @@
 // the owning branch stripe, so per-key log order is exactly commit
 // order), and a per-follower sender thread ships the log tail over
 // kReplAppend frames. Followers apply shipped records to their own
-// engine + store, append them to their OWN log (so a promoted follower
-// can ship in turn), and ack the offset they have applied. Under
-// DurabilityPolicy::kQuorum the engine's commit barrier blocks in
-// WaitCommitDurable until a majority of members (self included) holds
-// the commit.
+// engine + store and ack the offset they have applied; they keep that
+// offset, not the records (a promoted follower restarts its log there
+// and snapshots the group). Under DurabilityPolicy::kQuorum the
+// engine's commit barrier blocks in WaitCommitDurable until a majority
+// of members (self included) holds the commit.
+//
+// Retention: once every other member has registered, the leader drops
+// the log prefix below the smallest ack of its registered followers
+// (read replicas included) after each ack, so its log holds only what
+// some follower still lacks. A registered follower that stops acking
+// pins the log.
 //
 // Bootstrap and convergence use wholesale snapshots: a follower whose
-// ack predates the leader's log (fresh member, or post-promotion
+// ack predates the leader's log (fresh or restarted member, one that
+// registered after the prefix was trimmed, or post-promotion
 // divergence) receives ExportBranchState over kReplSnapshot; the chunks
 // behind the snapshot stream lazily through the existing peer-fetch
 // path, because chunks are content-addressed and conflict-free.
@@ -100,6 +107,8 @@ struct ReplicaGroupStats {
   uint64_t stale_rejections = 0;  // shipments this member rejected
   uint64_t promotions = 0;
   uint64_t step_downs = 0;
+  // Gauge: records this member's log holds now (0 on a follower).
+  uint64_t log_retained_records = 0;
 };
 
 class ReplicaGroup : public BranchMutationObserver,
@@ -128,7 +137,7 @@ class ReplicaGroup : public BranchMutationObserver,
   std::string leader_endpoint() const;
   const std::string& self() const { return options_.self; }
   const std::vector<std::string>& members() const { return options_.members; }
-  // Offset after the last record this member holds: the log end on a
+  // Offset after the last record this member has: the log end on a
   // leader, the applied offset on a follower.
   uint64_t durable_offset() const;
 
@@ -192,9 +201,14 @@ class ReplicaGroup : public BranchMutationObserver,
   // should be dropped.
   bool ShipOnce(FollowerState* f);
   bool ShipSnapshot(FollowerState* f);
+  // Stores a follower's ack, wakes quorum waiters, then trims the log.
+  void RecordAck(FollowerState* f, uint64_t acked);
+  // Leader only: drops the log prefix every registered follower has
+  // acked, once every other member has registered.
+  void TrimAcked();
 
   // Applies one shipped record on a follower (chunk -> store, mutation
-  // -> engine under the re-entrancy guard) and appends it to own log.
+  // -> engine under the re-entrancy guard).
   Status ApplyRecord(const ReplRecord& rec) REQUIRES(apply_mu_);
 
   // Adopts a (possibly new) leader at `epoch`: updates epoch/leader,
@@ -223,7 +237,7 @@ class ReplicaGroup : public BranchMutationObserver,
   // Serializes shipment application on a follower (below the branch
   // stripes the applies take).
   Mutex apply_mu_{kRankReplApply, "repl-apply"};
-  // Offset after the last applied record; == own log end on followers.
+  // Offset after the last applied record: a follower's log end.
   std::atomic<uint64_t> applied_next_{0};
   // Last append/snapshot received from the current leader (NowMs).
   std::atomic<int64_t> last_contact_ms_{0};

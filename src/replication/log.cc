@@ -244,6 +244,13 @@ void ReplicationLog::Reset(uint64_t new_begin) {
   cv_.SignalAll();
 }
 
+void ReplicationLog::TrimTo(uint64_t offset) {
+  MutexLock lock(mu_);
+  if (offset <= begin_ || offset > begin_ + records_.size()) return;
+  records_.erase(records_.begin(), records_.begin() + (offset - begin_));
+  begin_ = offset;
+}
+
 uint64_t ReplicationLog::WaitForRecords(uint64_t from,
                                         int64_t timeout_ms) const {
   MutexLock lock(mu_);

@@ -74,8 +74,10 @@ struct ReplRecord {
 
 // In-memory ordered record store, thread-safe. Records are kept in their
 // encoded (length-prefixed) form so shipping a range is a plain byte
-// copy. Retention is unbounded between snapshots; a Reset() after
-// shipping a full snapshot is the compaction point.
+// copy. Only a leader holds records: it trims the prefix every follower
+// has acked (TrimTo), and a follower whose next offset falls below the
+// trimmed prefix gets a snapshot instead. Reset() restarts the offset
+// space, at promotion or after installing a snapshot.
 class ReplicationLog {
  public:
   ReplicationLog() = default;
@@ -105,6 +107,16 @@ class ReplicationLog {
   // Drops everything and restarts the offset space at `new_begin` —
   // called after a snapshot at `new_begin` has been installed/shipped.
   void Reset(uint64_t new_begin);
+
+  // Drops the records below `offset`; end_offset() is unchanged. A
+  // no-op when `offset` is at or below begin_offset() or past the end.
+  void TrimTo(uint64_t offset);
+
+  // Number of records held: end_offset() - begin_offset().
+  uint64_t retained() const {
+    MutexLock lock(mu_);
+    return records_.size();
+  }
 
   // Blocks until end_offset() > from or the timeout elapses. Returns
   // the final end_offset(). Used by sender threads as their idle wait.

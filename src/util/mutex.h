@@ -101,7 +101,9 @@ inline void OnAcquire(const void* mu, int rank, const char* name,
   if (rank != kRankUnranked) {
     // Find the highest-ranked lock already held; ranks must strictly
     // increase, except sibling walks flagged kSameRankOk on both sides.
-    for (int i = 0; i < s.depth; ++i) {
+    // Only the first kMax entries are recorded; deeper ones go unchecked.
+    const int tracked = s.depth < HeldStack::kMax ? s.depth : HeldStack::kMax;
+    for (int i = 0; i < tracked; ++i) {
       const Held& h = s.held[i];
       if (h.rank == kRankUnranked) continue;
       if (rank < h.rank) {

@@ -1,7 +1,8 @@
 // Tests for the replication & HA subsystem (src/replication):
 //
 //  * Record / log — encode/decode round-trips for every record kind, the
-//    torn-record taxonomy, offset bookkeeping, Reset compaction.
+//    torn-record taxonomy, offset bookkeeping, Reset and TrimTo
+//    compaction.
 //  * Shipment codecs — append/ack/snapshot/status wire payloads.
 //  * Torn-shipment recovery — a shipment cut mid-record applies its
 //    intact prefix, acks it, and a resend converges without
@@ -13,6 +14,10 @@
 //  * Quorum durability — kQuorum commits block until a MAJORITY acks:
 //    a 3-member group with one stalled follower still commits, with two
 //    stalled it times out with Unavailable (the local commit stands).
+//  * Log retention — the leader trims what every follower acked and
+//    followers keep no records; a stalled follower pins the log and
+//    catches up by replay; a restarted follower behind the trimmed
+//    prefix converges by snapshot.
 //  * Stale-leader rejection — a shipment with a bygone epoch is refused
 //    with kAckStaleEpoch and the ex-leader steps down.
 //  * Failover — kill the leader, a follower promotes, every
@@ -183,6 +188,45 @@ TEST(ReplicationLogTest, OffsetsReadsAndReset) {
   // Reading AT the boundary is an empty, legal read.
   ASSERT_TRUE(log.ReadEncoded(7, SIZE_MAX, &out, &next, &count).ok());
   EXPECT_EQ(count, 0u);
+}
+
+TEST(ReplicationLogTest, TrimToDropsOnlyThePrefix) {
+  repl::ReplicationLog log;
+  repl::ReplRecord rec;
+  rec.kind = repl::ReplRecord::Kind::kSetHead;
+  rec.branch = "master";
+  for (int i = 0; i < 6; ++i) {
+    rec.key = "k" + std::to_string(i);
+    log.Append(rec);
+  }
+
+  log.TrimTo(3);
+  EXPECT_EQ(log.begin_offset(), 3u);
+  EXPECT_EQ(log.end_offset(), 6u);
+  EXPECT_EQ(log.retained(), 3u);
+  Bytes out;
+  uint64_t next = 0, count = 0;
+  EXPECT_TRUE(log.ReadEncoded(2, SIZE_MAX, &out, &next, &count)
+                  .IsOutOfRange());
+  ASSERT_TRUE(log.ReadEncoded(3, SIZE_MAX, &out, &next, &count).ok());
+  EXPECT_EQ(count, 3u);
+  ByteReader reader{Slice(out)};
+  repl::ReplRecord got;
+  ASSERT_TRUE(repl::ReplRecord::DecodeFrom(&reader, &got).ok());
+  EXPECT_EQ(got.key, "k3");
+
+  // Below or at begin, and past the end, are no-ops.
+  log.TrimTo(1);
+  log.TrimTo(3);
+  log.TrimTo(7);
+  EXPECT_EQ(log.begin_offset(), 3u);
+  EXPECT_EQ(log.end_offset(), 6u);
+
+  // Trimming to the end empties the log; offsets carry on from there.
+  log.TrimTo(6);
+  EXPECT_EQ(log.retained(), 0u);
+  EXPECT_EQ(log.end_offset(), 6u);
+  EXPECT_EQ(log.Append(rec), 6u);
 }
 
 TEST(ReplicationLogTest, WaitForRecordsWakesOnAppend) {
@@ -370,7 +414,8 @@ struct ReplNode {
   ~ReplNode() { Kill(); }
 };
 
-void StartNode(ReplNode* n, DurabilityPolicy durability) {
+void StartNode(ReplNode* n, DurabilityPolicy durability,
+               const std::string& listen = "127.0.0.1:0") {
   auto local = std::make_unique<MemChunkStore>();
   n->raw = local.get();
   n->resolver = std::make_unique<PeerChunkResolver>();
@@ -383,7 +428,7 @@ void StartNode(ReplNode* n, DurabilityPolicy durability) {
   dbo.durability = durability;
   n->engine = std::make_unique<ForkBase>(dbo, std::move(wrapped));
   rpc::ServerOptions so;
-  so.listen = "127.0.0.1:0";
+  so.listen = listen;
   so.local_chunk_store = n->raw;
   so.peer_count = 1;
   auto server = rpc::ForkBaseServer::Start(n->engine.get(), so);
@@ -398,26 +443,32 @@ struct GroupTimings {
   int64_t election_timeout_ms = 60000;
 };
 
+// Starts the group role of an already-started node as members[self].
+void JoinGroup(ReplNode* n, const std::vector<std::string>& members,
+               size_t self, GroupTimings timings) {
+  std::vector<std::string> peers;
+  for (size_t j = 0; j < members.size(); ++j) {
+    if (j != self) peers.push_back(members[j]);
+  }
+  n->resolver->SetPeers(peers);
+  repl::ReplicaGroupOptions ro;
+  ro.members = members;
+  ro.self = members[self];
+  ro.quorum_timeout_ms = timings.quorum_timeout_ms;
+  ro.heartbeat_ms = timings.heartbeat_ms;
+  ro.election_timeout_ms = timings.election_timeout_ms;
+  n->group =
+      std::make_unique<repl::ReplicaGroup>(n->engine.get(), n->rstore, ro);
+  ASSERT_TRUE(n->group->Start().ok());
+  n->server->set_replication(n->group.get());
+}
+
 // Forms a group over already-started nodes: nodes[0] leads.
 void FormGroup(const std::vector<ReplNode*>& nodes, GroupTimings timings) {
   std::vector<std::string> members;
   for (const ReplNode* n : nodes) members.push_back(n->endpoint());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    std::vector<std::string> peers;
-    for (size_t j = 0; j < members.size(); ++j) {
-      if (j != i) peers.push_back(members[j]);
-    }
-    nodes[i]->resolver->SetPeers(peers);
-    repl::ReplicaGroupOptions ro;
-    ro.members = members;
-    ro.self = members[i];
-    ro.quorum_timeout_ms = timings.quorum_timeout_ms;
-    ro.heartbeat_ms = timings.heartbeat_ms;
-    ro.election_timeout_ms = timings.election_timeout_ms;
-    nodes[i]->group = std::make_unique<repl::ReplicaGroup>(
-        nodes[i]->engine.get(), nodes[i]->rstore, ro);
-    ASSERT_TRUE(nodes[i]->group->Start().ok());
-    nodes[i]->server->set_replication(nodes[i]->group.get());
+    JoinGroup(nodes[i], members, i, timings);
   }
 }
 
@@ -545,6 +596,187 @@ TEST(ReplicaGroupTest, QuorumNeedsAMajorityNotEveryFollower) {
   auto replicated = b.engine->Get("k", "master");
   ASSERT_TRUE(replicated.ok());
   EXPECT_EQ(replicated->value().AsString(), "v3");
+}
+
+uint64_t Retained(const ReplNode& n) {
+  return n.group->stats().log_retained_records;
+}
+
+// Waits until the leader has trimmed everything its followers acked.
+void AwaitTrimmed(ReplNode* leader) {
+  ASSERT_TRUE(WaitUntil([&] { return Retained(*leader) == 0; }))
+      << "leader still retains " << Retained(*leader) << " records";
+}
+
+TEST(ReplicaGroupTest, LeaderTrimsWhatEveryFollowerAckedFollowersKeepNone) {
+  ReplNode a, b, c;
+  StartNode(&a, DurabilityPolicy::kQuorum);
+  StartNode(&b, DurabilityPolicy::kQuorum);
+  StartNode(&c, DurabilityPolicy::kQuorum);
+  FormGroup({&a, &b, &c}, GroupTimings{});
+  AwaitFollowers(&a, 2);
+
+  constexpr int kPuts = 20;
+  for (int i = 0; i < kPuts; ++i) {
+    ASSERT_TRUE(a.engine
+                    ->Put("k" + std::to_string(i % 4), "master",
+                          Value::OfString("v" + std::to_string(i)))
+                    .ok());
+  }
+  AwaitCaughtUp(&a, {&b, &c});
+  AwaitTrimmed(&a);
+
+  // The log end is still the count of records ever appended: at least a
+  // head move per Put, plus its chunks.
+  const uint64_t end = a.group->durable_offset();
+  EXPECT_GE(end, static_cast<uint64_t>(kPuts));
+  EXPECT_EQ(a.group->Snapshot().log_end, end);
+  for (ReplNode* f : {&b, &c}) {
+    EXPECT_EQ(Retained(*f), 0u) << f->endpoint();
+    EXPECT_EQ(f->group->durable_offset(), end);
+    EXPECT_EQ(f->group->Snapshot().log_end, end);
+  }
+  EXPECT_EQ(a.group->stats().snapshots_sent, 0u);
+
+  auto leader_state = a.engine->ExportBranchState();
+  ASSERT_TRUE(leader_state.ok());
+  for (ReplNode* f : {&b, &c}) {
+    auto state = f->engine->ExportBranchState();
+    ASSERT_TRUE(state.ok());
+    EXPECT_EQ(*state, *leader_state) << "diverged: " << f->endpoint();
+  }
+}
+
+TEST(ReplicaGroupTest, LateMemberReplaysTheLogTheLeaderKeptForIt) {
+  ReplNode a, b, c;
+  StartNode(&a, DurabilityPolicy::kQuorum);
+  StartNode(&b, DurabilityPolicy::kQuorum);
+  StartNode(&c, DurabilityPolicy::kQuorum);
+  const std::vector<std::string> members = {a.endpoint(), b.endpoint(),
+                                            c.endpoint()};
+  JoinGroup(&a, members, 0, GroupTimings{});
+  JoinGroup(&b, members, 1, GroupTimings{});
+  AwaitFollowers(&a, 1);
+
+  // B's acks make the quorum, but C has not registered yet: the leader
+  // keeps every record for it.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        a.engine->Put("k", "master", Value::OfString(std::to_string(i))).ok());
+  }
+  AwaitCaughtUp(&a, {&b});
+  EXPECT_EQ(Retained(a), a.group->durable_offset());
+
+  // C joins late and replays from offset 0; then the log is trimmed.
+  JoinGroup(&c, members, 2, GroupTimings{});
+  AwaitCaughtUp(&a, {&c});
+  AwaitTrimmed(&a);
+  EXPECT_EQ(a.group->stats().snapshots_sent, 0u);
+  auto got = c.engine->Get("k", "master");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->value().AsString(), "9");
+}
+
+TEST(ReplicaGroupTest, LoneLeaderKeepsNoRecords) {
+  ReplNode a;
+  StartNode(&a, DurabilityPolicy::kQuorum);
+  FormGroup({&a}, GroupTimings{});
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        a.engine->Put("k", "master", Value::OfString(std::to_string(i))).ok());
+  }
+  // No follower ever acks; the leader's own tick trims the log.
+  AwaitTrimmed(&a);
+  EXPECT_GE(a.group->durable_offset(), 5u);
+}
+
+TEST(ReplicaGroupTest, StalledFollowerPinsTheLogThenCatchesUpByReplay) {
+  ReplNode a, b, c;
+  StartNode(&a, DurabilityPolicy::kQuorum);
+  StartNode(&b, DurabilityPolicy::kQuorum);
+  StartNode(&c, DurabilityPolicy::kQuorum);
+  FormGroup({&a, &b, &c}, GroupTimings{});
+  AwaitFollowers(&a, 2);
+  ASSERT_TRUE(a.engine->Put("k", "master", Value::OfString("v0")).ok());
+  AwaitCaughtUp(&a, {&b, &c});
+  AwaitTrimmed(&a);
+  const uint64_t pinned = c.group->durable_offset();
+
+  // C stalls; B alone makes the quorum, and C's ack pins the log.
+  a.group->StallFollower(c.endpoint(), true);
+  for (int i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(
+        a.engine->Put("k", "master", Value::OfString("v" + std::to_string(i)))
+            .ok());
+  }
+  AwaitCaughtUp(&a, {&b});
+  EXPECT_EQ(c.group->durable_offset(), pinned);
+  EXPECT_EQ(Retained(a), a.group->durable_offset() - pinned);
+
+  // Unstalled, C replays the retained suffix: no snapshot needed.
+  a.group->StallFollower(c.endpoint(), false);
+  AwaitCaughtUp(&a, {&c});
+  AwaitTrimmed(&a);
+  EXPECT_EQ(a.group->stats().snapshots_sent, 0u);
+  EXPECT_EQ(c.group->stats().snapshots_applied, 0u);
+  auto got = c.engine->Get("k", "master");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->value().AsString(), "v10");
+}
+
+TEST(ReplicaGroupTest, RestartedFollowerBehindTheTrimmedPrefixGetsSnapshot) {
+  ReplNode a, b, c;
+  StartNode(&a, DurabilityPolicy::kQuorum);
+  StartNode(&b, DurabilityPolicy::kQuorum);
+  StartNode(&c, DurabilityPolicy::kQuorum);
+  GroupTimings timings;
+  FormGroup({&a, &b, &c}, timings);
+  AwaitFollowers(&a, 2);
+  const std::vector<std::string> members = {a.endpoint(), b.endpoint(),
+                                            c.endpoint()};
+
+  std::vector<std::pair<Hash, std::string>> acked;
+  auto put = [&](int i) {
+    const std::string v = "value " + std::to_string(i);
+    auto uid = a.engine->Put("k" + std::to_string(i % 3), "master",
+                             Value::OfString(v));
+    ASSERT_TRUE(uid.ok()) << uid.status().ToString();
+    acked.emplace_back(*uid, v);
+  };
+  for (int i = 0; i < 10; ++i) put(i);
+  AwaitCaughtUp(&a, {&b, &c});
+  AwaitTrimmed(&a);
+  ASSERT_GT(a.group->durable_offset(), 0u);
+
+  // C dies and loses everything it held; A and B keep a quorum.
+  c.Kill();
+  for (int i = 10; i < 20; ++i) put(i);
+
+  // It comes back empty on the same endpoint and re-registers at offset
+  // 0, behind the trimmed prefix: only a snapshot can bootstrap it.
+  ReplNode c2;
+  StartNode(&c2, DurabilityPolicy::kQuorum, members[2]);
+  JoinGroup(&c2, members, 2, timings);
+  AwaitCaughtUp(&a, {&c2});
+  // The leader counts the snapshot once the ack is back, which follows
+  // the follower's install.
+  ASSERT_TRUE(
+      WaitUntil([&] { return a.group->stats().snapshots_sent >= 1; }));
+  EXPECT_GE(c2.group->stats().snapshots_applied, 1u);
+
+  auto leader_state = a.engine->ExportBranchState();
+  auto state = c2.engine->ExportBranchState();
+  ASSERT_TRUE(leader_state.ok());
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, *leader_state);
+  // Chunks behind the snapshot stream in through peer fetch.
+  for (const auto& [uid, v] : acked) {
+    auto obj = c2.engine->GetByUid(uid);
+    ASSERT_TRUE(obj.ok()) << obj.status().ToString();
+    EXPECT_EQ(obj->value().AsString(), v);
+  }
+  AwaitTrimmed(&a);
+  EXPECT_EQ(Retained(c2), 0u);
 }
 
 TEST(ReplicaGroupTest, StaleLeaderIsRejectedByEpochAndStepsDown) {
