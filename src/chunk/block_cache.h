@@ -58,8 +58,9 @@ struct BlockCacheStats {
 class AdmissionChunkCache {
  public:
   static constexpr size_t kDefaultCapacityBytes = 32u << 20;
-  // Default budget of the caches that front a network hop or a pool
-  // scan rather than a disk (ServletChunkStore fallback, RemoteChunkStore).
+  // Budget of the caches that front a network hop or a pool scan rather
+  // than a disk: the ServletChunkStore fallback (fixed) and the
+  // RemoteChunkStore client (its default).
   static constexpr size_t kFallbackCapacityBytes = 8u << 20;
   static constexpr size_t kDefaultShards = 8;
 

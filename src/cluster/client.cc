@@ -10,82 +10,31 @@ namespace fb {
 // ---------------------------------------------------------------------------
 
 Status ClientChunkStore::Put(const Hash& cid, const Chunk& chunk) {
-  if (has_pool()) return (*pool_)[InstanceOf(cid)]->Put(cid, chunk);
-  return RemoteOf(cid)->Put(cid, chunk);
+  return instances_[InstanceOf(cid)]->Put(cid, chunk);
 }
 
 Status ClientChunkStore::Get(const Hash& cid, Chunk* chunk) const {
-  if (has_pool()) {
-    const size_t routed = InstanceOf(cid);
-    Status s = (*pool_)[routed]->Get(cid, chunk);
-    if (s.ok() || !s.IsNotFound()) return s;
-    // Meta chunks (and 1LP data chunks) live on their servlet's local
-    // instance, not at the cid-routed one: fall back to a pool scan.
-    for (size_t i = 0; i < pool_->size(); ++i) {
-      if (i == routed) continue;
-      s = (*pool_)[i]->Get(cid, chunk);
-      if (s.ok() || !s.IsNotFound()) return s;
-    }
-  }
-  // Remote servlets hold their own chunks (meta chunks of keys they
-  // own, server-built trees): scan them last.
-  for (ChunkStore* remote : remotes_) {
-    const Status s = remote->Get(cid, chunk);
-    if (s.ok() || !s.IsNotFound()) return s;
-  }
-  return Status::NotFound(cid.ToShortHex());
+  return GetFromAny(instances_, InstanceOf(cid), cid, chunk);
 }
 
 bool ClientChunkStore::Contains(const Hash& cid) const {
-  if (has_pool()) {
-    for (const auto& instance : *pool_) {
-      if (instance->Contains(cid)) return true;
-    }
-  }
-  for (ChunkStore* remote : remotes_) {
-    if (remote->Contains(cid)) return true;
+  for (const ChunkStore* instance : instances_) {
+    if (instance->Contains(cid)) return true;
   }
   return false;
 }
 
 Status ClientChunkStore::PutBatch(const ChunkBatch& batch) {
-  if (!has_pool()) {
-    // All-remote: partition by cid across the remote stores.
-    std::vector<ChunkBatch> by_remote(remotes_.size());
-    for (const auto& entry : batch) {
-      by_remote[static_cast<size_t>(entry.first.Low64() % remotes_.size())]
-          .push_back(entry);
-    }
-    for (size_t d = 0; d < by_remote.size(); ++d) {
-      if (by_remote[d].empty()) continue;
-      FB_RETURN_NOT_OK(remotes_[d]->PutBatch(by_remote[d]));
-    }
-    return Status::OK();
-  }
-  std::vector<std::vector<size_t>> by_instance(pool_->size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    by_instance[InstanceOf(batch[i].first)].push_back(i);
-  }
-  ChunkBatch sub;
-  for (size_t d = 0; d < by_instance.size(); ++d) {
-    if (by_instance[d].empty()) continue;
-    if (by_instance[d].size() == batch.size()) {
-      return (*pool_)[d]->PutBatch(batch);
-    }
-    sub.clear();
-    sub.reserve(by_instance[d].size());
-    for (size_t i : by_instance[d]) sub.push_back(batch[i]);
-    FB_RETURN_NOT_OK((*pool_)[d]->PutBatch(sub));
-  }
-  return Status::OK();
+  std::vector<size_t> dst(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) dst[i] = InstanceOf(batch[i].first);
+  return PutBatchByInstance(instances_, batch, dst);
 }
 
 ChunkStoreStats ClientChunkStore::stats() const {
   ChunkStoreStats total;
-  if (has_pool()) {
-    for (const auto& s : *pool_) total.Accumulate(s->stats());
+  for (const ChunkStore* instance : instances_) {
+    total.Accumulate(instance->stats());
   }
-  for (ChunkStore* remote : remotes_) total.Accumulate(remote->stats());
   return total;
 }
 
@@ -108,53 +57,26 @@ ClusterClient::ClusterClient(
       remotes_(std::move(remotes)),
       n_shards_(cluster != nullptr ? cluster->num_servlets()
                                    : remotes_.size()),
+      // A remote client adopts the servers' chunking parameters (every
+      // servlet of one deployment shares a DBOptions, so the first one
+      // speaks for all).
       tree_config_(cluster != nullptr ? cluster->options().db.tree
-                                      : TreeConfig{}),
-      chunk_view_(cluster != nullptr ? &cluster->pool_ : nullptr, [&] {
+                                      : remotes_[0]->tree_config()),
+      chunk_view_([&] {
+        if (cluster != nullptr) return cluster->instances();
         std::vector<ChunkStore*> stores;
-        for (const auto& r : remotes_) {
-          if (r != nullptr) stores.push_back(r->store());
-        }
+        for (const auto& r : remotes_) stores.push_back(r->store());
         return stores;
       }()) {
-  if (cluster_ == nullptr) {
-    // All-remote: adopt the servers' chunking parameters (every servlet
-    // of one deployment shares a DBOptions, so the first one speaks for
-    // all).
-    for (const auto& r : remotes_) {
-      if (r != nullptr) {
-        tree_config_ = r->tree_config();
-        break;
-      }
-    }
-  }
-  remotes_.resize(n_shards_);
   workers_.reserve(n_shards_);
   for (size_t i = 0; i < n_shards_; ++i) {
     workers_.push_back(std::make_unique<Worker>());
-    if (remotes_[i] == nullptr && cluster_ != nullptr) {
-      in_process_.push_back(i);
-    } else if (remotes_[i] != nullptr && remotes_[i]->server_peer_count() > 0) {
-      // Advertised in the kHello handshake: this server resolves chunk
-      // misses from its peers, so any uid is serveable there.
-      peer_capable_.push_back(i);
+    // In-process shards share the chunk pool; a remote server that
+    // advertised peers in the kHello handshake resolves chunk misses
+    // from them. Either way any uid is serveable there.
+    if (cluster_ != nullptr || remotes_[i]->server_peer_count() > 0) {
+      any_uid_shards_.push_back(i);
     }
-  }
-  if (cluster_ != nullptr && in_process_.size() < n_shards_) {
-    // Mixed deployment: some shards are remote, so their chunks are not
-    // in the in-process pool. Give every in-process servlet view a
-    // resolver over the remote endpoints — the same server-to-server
-    // fetch `forkbased --peers` uses — so version-addressed commands
-    // and cross-shard traversals run without client-side retries.
-    std::vector<std::string> peer_endpoints;
-    for (const auto& ep : options_.endpoints) {
-      if (!ep.empty()) peer_endpoints.push_back(ep);
-    }
-    PeerResolverOptions po;
-    po.pool_size = options_.remote_pool_size;
-    peer_resolver_ =
-        std::make_unique<PeerChunkResolver>(std::move(peer_endpoints), po);
-    cluster_->AttachPeerResolver(peer_resolver_.get());
   }
   replicas_.resize(n_shards_);
   {
@@ -179,30 +101,17 @@ ClusterClient::ClusterClient(
 
 Result<std::unique_ptr<ClusterClient>> ClusterClient::Connect(
     Cluster* cluster, ClusterClientOptions options) {
-  if (options.endpoints.empty() && cluster == nullptr) {
+  if ((cluster == nullptr) == options.endpoints.empty()) {
     return Status::InvalidArgument(
-        "all-remote client needs a non-empty endpoint list");
-  }
-  if (cluster != nullptr && !options.endpoints.empty() &&
-      options.endpoints.size() != cluster->num_servlets()) {
-    return Status::InvalidArgument(
-        "endpoint list must name every servlet (\"\" = in-process)");
+        "a cluster client needs either a Cluster or an endpoint list, not "
+        "both");
   }
   std::vector<std::unique_ptr<rpc::RemoteService>> remotes;
-  remotes.resize(options.endpoints.size());
-  for (size_t i = 0; i < options.endpoints.size(); ++i) {
-    const std::string& ep = options.endpoints[i];
-    if (ep.empty()) {
-      if (cluster == nullptr) {
-        return Status::InvalidArgument(
-            "endpoint " + std::to_string(i) +
-            " is in-process but no Cluster was given");
-      }
-      continue;
-    }
+  for (const std::string& ep : options.endpoints) {
     rpc::RemoteServiceOptions ro;
     ro.pool_size = options.remote_pool_size;
-    FB_ASSIGN_OR_RETURN(remotes[i], rpc::RemoteService::Connect(ep, ro));
+    FB_ASSIGN_OR_RETURN(auto remote, rpc::RemoteService::Connect(ep, ro));
+    remotes.push_back(std::move(remote));
   }
   return std::unique_ptr<ClusterClient>(
       new ClusterClient(cluster, std::move(options), std::move(remotes)));
@@ -227,10 +136,6 @@ ClusterClient::~ClusterClient() {
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
-  // Detach only after the workers drained: queued Submit work executes
-  // to completion on destruction, and a version-addressed command in
-  // that backlog still needs the peer resolver to answer correctly.
-  if (peer_resolver_ != nullptr) cluster_->AttachPeerResolver(nullptr);
 }
 
 void ClusterClient::Flush() {
@@ -251,16 +156,13 @@ Reply ClusterClient::ExecuteOn(size_t idx, const Command& cmd) {
     version_dispatches_.fetch_add(1, std::memory_order_relaxed);
   }
   // Remote servlet: the real socket transport IS the round-trip.
-  if (remotes_[idx] != nullptr) return ExecuteRemote(idx, cmd);
-
-  ForkBase* servlet = cluster_->servlet(idx);
-  if (!options_.wire_roundtrip) return ApplyCommand(servlet, cmd);
+  if (cluster_ == nullptr) return ExecuteRemote(idx, cmd);
 
   // Simulated RPC: the command crosses to the servlet, and the reply
   // back to the client, as serialized bytes.
   Result<Command> parsed = Command::Parse(Slice(cmd.Serialize()));
   if (!parsed.ok()) return Reply::FromStatus(parsed.status());
-  const Reply reply = ApplyCommand(servlet, *parsed);
+  const Reply reply = ApplyCommand(cluster_->servlet(idx), *parsed);
   Result<Reply> returned = Reply::Parse(Slice(reply.Serialize()));
   if (!returned.ok()) return Reply::FromStatus(returned.status());
   return std::move(*returned);
@@ -329,23 +231,19 @@ bool ClusterClient::RouteOf(const Command& cmd, size_t* idx) const {
   }
   if (VersionAddressed(cmd.op)) {
     version_commands_.fetch_add(1, std::memory_order_relaxed);
-    // One shard, no retries. In-process shards see the whole shared pool
-    // (peer-fetching from remote servlets in mixed deployments), so any
-    // of them can serve any uid; prefer them when they exist. All-remote
-    // deployments spread by uid across the servers that advertised peer
-    // fetch in their handshake (`forkbased --peers`) — a server without
-    // peers can only serve uids it committed itself, so it is skipped
-    // when a capable shard exists. With neither (multi-shard all-remote,
-    // no --peers anywhere), the uid-routed shard may honestly answer
-    // NotFound for an object another shard holds: such deployments need
-    // peer fetch enabled for version-addressed reads.
+    // One shard, no retries, spread by uid across the shards that can
+    // serve any uid. A remote server without peers (no `forkbased
+    // --peers`) can only serve uids it committed itself, so it is
+    // skipped when a capable shard exists. With none (multi-shard remote
+    // deployment, no --peers anywhere), the uid-routed shard may honestly
+    // answer NotFound for an object another shard holds: such
+    // deployments need peer fetch enabled for version-addressed reads.
     const uint64_t spread = cmd.uid.Low64();
-    if (!in_process_.empty()) {
-      *idx = in_process_[static_cast<size_t>(spread % in_process_.size())];
-    } else if (!peer_capable_.empty()) {
-      *idx = peer_capable_[static_cast<size_t>(spread % peer_capable_.size())];
-    } else {
+    if (any_uid_shards_.empty()) {
       *idx = static_cast<size_t>(spread % n_shards_);
+    } else {
+      *idx = any_uid_shards_[static_cast<size_t>(spread %
+                                                 any_uid_shards_.size())];
     }
     return true;
   }

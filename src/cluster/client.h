@@ -1,13 +1,15 @@
 // ClusterClient: the client-side implementation of ForkBaseService over a
-// simulated cluster deployment (Sections 4.1 / 4.6).
+// cluster deployment (Sections 4.1 / 4.6). A client drives ONE
+// deployment: either every servlet of an in-process Cluster, or every
+// servlet behind a remote endpoint (`forkbased` processes, possibly
+// replication groups) — never a mix.
 //
 // Every command goes through the dispatcher: key-addressed operations
 // route to the owning servlet, version-addressed operations route by uid
-// to any node that can reach the shared chunk pool — in-process shards
-// share it directly (and peer-fetch from remote servlets when the
-// deployment is mixed), remote servlets resolve misses from their peers
-// server-side — so every command executes on EXACTLY ONE shard, no
-// client-side retries. Multi-key operations fan out:
+// to a servlet that can serve any uid — every in-process servlet (they
+// share the chunk pool), or every remote servlet that resolves chunk
+// misses from its peers — so every command executes on EXACTLY ONE
+// shard, no client-side retries. Multi-key operations fan out:
 //
 //   * ListKeys unions the key sets of ALL servlets. (Asking one servlet,
 //     as the retired Route(key)->ListKeys() pattern did, returns only
@@ -16,13 +18,10 @@
 //     sub-command per servlet, and reassembles the uids in input order.
 //
 // Commands and replies cross the client/servlet boundary through their
-// byte-stable serialized form (Serialize -> Parse on both directions), so
-// the in-process path exercises exactly the envelope the socket transport
-// carries. Servlets may also live in other processes: Connect() accepts a
-// per-servlet endpoint list ("host:port" / "unix:/path", "" = embedded),
-// and commands to those shards travel over RemoteService connections to
-// `forkbased` servers — the deployment of Sections 4.1/4.6 with a real
-// network in the middle.
+// byte-stable serialized form: remote servlets over RemoteService
+// connections, in-process servlets by a Serialize -> Parse round trip in
+// both directions, so the in-process path exercises exactly the envelope
+// the socket transport carries.
 //
 // Submit() is the asynchronous path: each servlet has a worker thread
 // with a request queue, and the worker coalesces runs of queued plain
@@ -50,7 +49,6 @@
 #include <vector>
 
 #include "api/service.h"
-#include "chunk/peer_resolver.h"
 #include "cluster/cluster.h"
 #include "rpc/remote_service.h"
 #include "util/mutex.h"
@@ -58,15 +56,9 @@
 namespace fb {
 
 struct ClusterClientOptions {
-  // Round-trip every command and reply through the serialized envelope at
-  // the servlet boundary (simulated RPC for in-process servlets; remote
-  // servlets always cross the real wire). Disable only to measure the
-  // envelope's own cost.
-  bool wire_roundtrip = true;
-  // Per-servlet transport: entry i is an endpoint ("host:port" or
-  // "unix:/path") served by a `forkbased` process, or "" for the
-  // in-process servlet of the Cluster. Empty vector = all in-process.
-  // Mixed deployments are fine; see ClusterClient::Connect.
+  // Per-servlet endpoints ("host:port" or "unix:/path"), each served by a
+  // `forkbased` process. Empty = the servlets of the in-process Cluster
+  // given to the constructor or Connect.
   std::vector<std::string> endpoints;
   // Connection pool size per remote endpoint.
   size_t remote_pool_size = 2;
@@ -80,20 +72,19 @@ struct ClusterClientOptions {
 };
 
 // The client's view of chunk storage, used to materialize handles and
-// build chunkable values client-side. Writes route data chunks by cid
-// into the shared in-process pool (or, all-remote, across the remote
-// stores); reads check the cid-routed instance first and fall back to
-// scanning every instance, remote stores included. Client-side
-// construction therefore always spreads chunks 2LP-style (the client
-// cannot know the owning servlet at chunk-build time); under 1LP — or
-// against remote servlets, whose engines only read their own store —
-// use PutBlob-style server-side construction when placement must follow
-// the key.
+// build chunkable values client-side: one instance per servlet (the
+// Cluster's pool instances, or the remote servlets' stores). Writes
+// route every chunk by cid; reads try the cid-routed instance first,
+// then every other one (meta chunks and server-built trees live with the
+// servlet that wrote them). Client-side construction therefore always
+// spreads chunks 2LP-style (the client cannot know the owning servlet at
+// chunk-build time); under 1LP — or against remote servlets without
+// peers, whose engines only read their own store — use PutBlob-style
+// server-side construction when placement must follow the key.
 class ClientChunkStore : public ChunkStore {
  public:
-  ClientChunkStore(std::vector<std::unique_ptr<MemChunkStore>>* pool,
-                   std::vector<ChunkStore*> remotes)
-      : pool_(pool), remotes_(std::move(remotes)) {}
+  explicit ClientChunkStore(std::vector<ChunkStore*> instances)
+      : instances_(std::move(instances)) {}
 
   using ChunkStore::Put;
   Status Put(const Hash& cid, const Chunk& chunk) override;
@@ -103,28 +94,22 @@ class ClientChunkStore : public ChunkStore {
   ChunkStoreStats stats() const override;
 
  private:
-  bool has_pool() const { return pool_ != nullptr && !pool_->empty(); }
   size_t InstanceOf(const Hash& cid) const {
-    return static_cast<size_t>(cid.Low64() % pool_->size());
-  }
-  // The write destination when there is no in-process pool.
-  ChunkStore* RemoteOf(const Hash& cid) const {
-    return remotes_[static_cast<size_t>(cid.Low64() % remotes_.size())];
+    return static_cast<size_t>(cid.Low64() % instances_.size());
   }
 
-  std::vector<std::unique_ptr<MemChunkStore>>* pool_;  // null when all-remote
-  std::vector<ChunkStore*> remotes_;  // stores of remote servlets
+  const std::vector<ChunkStore*> instances_;
 };
 
 class ClusterClient : public ForkBaseService {
  public:
-  // All-in-process client (options.endpoints must be empty).
+  // Client over every servlet of `cluster` (options.endpoints must be
+  // empty).
   explicit ClusterClient(Cluster* cluster, ClusterClientOptions options = {});
 
-  // Client over a mixed or fully remote deployment. options.endpoints
-  // names each servlet's transport (see ClusterClientOptions); `cluster`
-  // supplies the in-process servlets and may be null when every entry is
-  // remote. Fails if any remote endpoint cannot be reached.
+  // Client over `cluster` (endpoints empty) or over options.endpoints
+  // (cluster null). InvalidArgument for both or neither; fails if any
+  // endpoint cannot be reached.
   static Result<std::unique_ptr<ClusterClient>> Connect(
       Cluster* cluster, ClusterClientOptions options);
 
@@ -195,11 +180,12 @@ class ClusterClient : public ForkBaseService {
     std::thread thread;
   };
 
-  // Builds the chunk view and worker slots once shards are known.
+  // Builds the chunk view and worker slots once shards are known:
+  // `remotes` is empty for an in-process client, one per shard otherwise.
   ClusterClient(Cluster* cluster, ClusterClientOptions options,
                 std::vector<std::unique_ptr<rpc::RemoteService>> remotes);
 
-  // Executes on servlet `idx`: over the socket for a remote servlet,
+  // Executes on servlet `idx`: over the socket for a remote deployment,
   // round-tripping through the wire format in-process otherwise.
   Reply ExecuteOn(size_t idx, const Command& cmd);
   // The remote half of ExecuteOn: replica round-robin for
@@ -218,9 +204,9 @@ class ClusterClient : public ForkBaseService {
   // each put's promise with its own uid.
   void CommitPutRun(size_t idx, std::vector<Pending>* run);
 
-  Cluster* cluster_;  // null for an all-remote client
+  Cluster* cluster_;  // null for a remote client
   ClusterClientOptions options_;
-  std::vector<std::unique_ptr<rpc::RemoteService>> remotes_;  // per shard
+  std::vector<std::unique_ptr<rpc::RemoteService>> remotes_;  // per remote shard
   // Replica connections per shard (lazily opened from read_replicas).
   std::vector<std::vector<std::shared_ptr<rpc::RemoteService>>> replicas_;
   // A not-leader bounce re-points shard i here; the original primary
@@ -229,14 +215,11 @@ class ClusterClient : public ForkBaseService {
   std::vector<std::shared_ptr<rpc::RemoteService>> redirect_
       GUARDED_BY(redirect_mu_);
   size_t n_shards_;
-  std::vector<size_t> in_process_;    // shard indices served by cluster_
-  std::vector<size_t> peer_capable_;  // remote shards advertising peer fetch
+  // Shards that can serve any uid: every in-process shard, or the remote
+  // shards advertising peer fetch.
+  std::vector<size_t> any_uid_shards_;
   TreeConfig tree_config_;
   mutable ClientChunkStore chunk_view_;
-  // Mixed deployments: attached to the cluster's servlet views so
-  // in-process shards resolve chunk misses from the remote servlets
-  // (detached on destruction).
-  std::unique_ptr<PeerChunkResolver> peer_resolver_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::once_flag workers_started_;
 

@@ -4,51 +4,61 @@
 
 namespace fb {
 
-Status ServletChunkStore::Put(const Hash& cid, const Chunk& chunk) {
-  if (pool_ == nullptr) return owned_local_->Put(cid, chunk);
-  // Meta chunks are always stored locally: they are only read by the
-  // servlet that owns the key (Section 4.6).
-  if (chunk.type() == ChunkType::kMeta) {
-    return (*pool_)[local_id_]->Put(cid, chunk);
+Status PutBatchByInstance(const std::vector<ChunkStore*>& instances,
+                          const ChunkBatch& batch,
+                          const std::vector<size_t>& dst) {
+  std::vector<std::vector<size_t>> by_instance(instances.size());
+  for (size_t i = 0; i < batch.size(); ++i) by_instance[dst[i]].push_back(i);
+  ChunkBatch sub;
+  for (size_t d = 0; d < by_instance.size(); ++d) {
+    if (by_instance[d].empty()) continue;
+    if (by_instance[d].size() == batch.size()) {
+      return instances[d]->PutBatch(batch);  // everything routed one way
+    }
+    sub.clear();
+    sub.reserve(by_instance[d].size());
+    for (size_t i : by_instance[d]) sub.push_back(batch[i]);
+    FB_RETURN_NOT_OK(instances[d]->PutBatch(sub));
   }
-  return RouteData(cid)->Put(cid, chunk);
+  return Status::OK();
+}
+
+Status GetFromAny(const std::vector<ChunkStore*>& instances, size_t first,
+                  const Hash& cid, Chunk* chunk) {
+  Status s = instances[first]->Get(cid, chunk);
+  if (s.ok() || !s.IsNotFound()) return s;
+  for (size_t i = 0; i < instances.size(); ++i) {
+    if (i == first) continue;
+    s = instances[i]->Get(cid, chunk);
+    if (s.ok() || !s.IsNotFound()) return s;
+  }
+  return Status::NotFound(cid.ToShortHex());
+}
+
+Status ServletChunkStore::Put(const Hash& cid, const Chunk& chunk) {
+  return instances_[InstanceOf(cid, chunk)]->Put(cid, chunk);
 }
 
 Status ServletChunkStore::GetInProcess(const Hash& cid, Chunk* chunk) const {
-  if (pool_ == nullptr) {
-    // Standalone servlet: one physical store, then the fallback cache
-    // (chunks are immutable, so a cached copy is always current).
-    Status s = owned_local_->Get(cid, chunk);
-    if (s.ok() || !s.IsNotFound()) return s;
-    if (fallback_cache_.capacity_bytes() > 0 &&
-        fallback_cache_.Get(cid, chunk)) {
-      return Status::OK();
-    }
-    return Status::NotFound(cid.ToShortHex());
-  }
-  // Data chunks live at the cid-routed node; meta chunks at the local
-  // node. Check the routed node first, then local, then the rest of the
-  // pool (the shared-storage fallback; only ever reached for chunks that
-  // a different placement policy wrote elsewhere).
+  // Data chunks live at the cid-routed instance; meta chunks at the
+  // local one. Check the routed instance first, then local, then the
+  // rest of the pool (only ever reached for chunks that a different
+  // placement policy wrote elsewhere).
   const size_t routed = DataInstanceOf(cid);
-  Status s = (*pool_)[routed]->Get(cid, chunk);
+  Status s = instances_[routed]->Get(cid, chunk);
   if (s.ok() || !s.IsNotFound()) return s;
   if (routed != local_id_) {
-    s = (*pool_)[local_id_]->Get(cid, chunk);
+    s = instances_[local_id_]->Get(cid, chunk);
     if (s.ok() || !s.IsNotFound()) return s;
   }
-  // Expected locations missed: the cache short-circuits the pool scan.
-  if (fallback_cache_.capacity_bytes() > 0 &&
-      fallback_cache_.Get(cid, chunk)) {
-    return Status::OK();
-  }
-  for (size_t i = 0; i < pool_->size(); ++i) {
+  // Expected locations missed: the cache (chunks are immutable, so a
+  // cached copy is always current) short-circuits the pool scan.
+  if (fallback_cache_.Get(cid, chunk)) return Status::OK();
+  for (size_t i = 0; i < instances_.size(); ++i) {
     if (i == routed || i == local_id_) continue;
-    s = (*pool_)[i]->Get(cid, chunk);
+    s = instances_[i]->Get(cid, chunk);
     if (s.ok()) {
-      if (fallback_cache_.capacity_bytes() > 0) {
-        fallback_cache_.Put(cid, *chunk);
-      }
+      fallback_cache_.Put(cid, *chunk);
       return s;
     }
     if (!s.IsNotFound()) return s;
@@ -57,38 +67,22 @@ Status ServletChunkStore::GetInProcess(const Hash& cid, Chunk* chunk) const {
 }
 
 Status ServletChunkStore::GetLocal(const Hash& cid, Chunk* chunk) const {
-  if (pool_ == nullptr) return owned_local_->Get(cid, chunk);
-  // Cluster mode: "local" is everything reachable in-process — the
-  // shared pool — but never the cache/peer tail.
-  const size_t routed = DataInstanceOf(cid);
-  Status s = (*pool_)[routed]->Get(cid, chunk);
-  if (s.ok() || !s.IsNotFound()) return s;
-  for (size_t i = 0; i < pool_->size(); ++i) {
-    if (i == routed) continue;
-    s = (*pool_)[i]->Get(cid, chunk);
-    if (s.ok() || !s.IsNotFound()) return s;
-  }
-  return Status::NotFound(cid.ToShortHex());
+  return GetFromAny(instances_, DataInstanceOf(cid), cid, chunk);
 }
 
 Status ServletChunkStore::Get(const Hash& cid, Chunk* chunk) const {
   Status s = GetInProcess(cid, chunk);
-  if (s.ok() || !s.IsNotFound()) return s;
+  if (s.ok() || !s.IsNotFound() || peers_ == nullptr) return s;
   // Everything in-process missed: ask peer servlets — the cross-process
   // half of the shared-pool semantics.
-  PeerChunkResolver* peers = peers_.load(std::memory_order_acquire);
-  if (peers != nullptr) {
-    const Status fetched = peers->Fetch(cid, chunk);
-    if (fetched.ok()) {
-      if (fallback_cache_.capacity_bytes() > 0) {
-        fallback_cache_.Put(cid, *chunk);
-      }
-      return fetched;
-    }
-    // Unavailable (a peer could not be asked) must reach the caller
-    // as-is: the chunk may exist on the unreachable peer.
-    if (!fetched.IsNotFound()) return fetched;
+  s = peers_->Fetch(cid, chunk);
+  if (s.ok()) {
+    fallback_cache_.Put(cid, *chunk);
+    return s;
   }
+  // Unavailable (a peer could not be asked) must reach the caller
+  // as-is: the chunk may exist on the unreachable peer.
+  if (!s.IsNotFound()) return s;
   return Status::NotFound(cid.ToShortHex());
 }
 
@@ -103,8 +97,7 @@ Status ServletChunkStore::GetBatch(const std::vector<Hash>& cids,
     missing.push_back(i);
   }
   if (missing.empty()) return Status::OK();
-  PeerChunkResolver* peers = peers_.load(std::memory_order_acquire);
-  if (peers == nullptr) {
+  if (peers_ == nullptr) {
     return Status::NotFound(cids[missing.front()].ToShortHex());
   }
   // Every in-process miss rides ONE batched peer fetch.
@@ -113,69 +106,55 @@ Status ServletChunkStore::GetBatch(const std::vector<Hash>& cids,
   for (const size_t i : missing) want.push_back(cids[i]);
   std::vector<Chunk> fetched;
   std::vector<bool> resolved;
-  const Status s = peers->FetchBatch(want, &fetched, &resolved);
+  const Status s = peers_->FetchBatch(want, &fetched, &resolved);
   for (size_t j = 0; j < missing.size(); ++j) {
     if (!resolved[j]) return s;  // NotFound / Unavailable per taxonomy
     (*chunks)[missing[j]] = std::move(fetched[j]);
-    if (fallback_cache_.capacity_bytes() > 0) {
-      fallback_cache_.Put(cids[missing[j]], (*chunks)[missing[j]]);
-    }
+    fallback_cache_.Put(cids[missing[j]], (*chunks)[missing[j]]);
   }
   return Status::OK();
 }
 
 bool ServletChunkStore::Contains(const Hash& cid) const {
-  if (pool_ == nullptr) return owned_local_->Contains(cid);
-  for (const auto& instance : *pool_) {
+  for (const ChunkStore* instance : instances_) {
     if (instance->Contains(cid)) return true;
   }
   return false;
 }
 
 Status ServletChunkStore::PutBatch(const ChunkBatch& batch) {
-  if (pool_ == nullptr) return owned_local_->PutBatch(batch);
   // Under 1LP every chunk (meta and data) is local: forward the batch
   // without copying.
-  if (!two_layer_) return (*pool_)[local_id_]->PutBatch(batch);
-
-  std::vector<std::vector<size_t>> by_instance(pool_->size());
+  if (!two_layer_) return local_store()->PutBatch(batch);
+  std::vector<size_t> dst(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    const size_t dst = batch[i].second.type() == ChunkType::kMeta
-                           ? local_id_
-                           : DataInstanceOf(batch[i].first);
-    by_instance[dst].push_back(i);
+    dst[i] = InstanceOf(batch[i].first, batch[i].second);
   }
-  ChunkBatch sub;
-  for (size_t d = 0; d < by_instance.size(); ++d) {
-    if (by_instance[d].empty()) continue;
-    if (by_instance[d].size() == batch.size()) {
-      return (*pool_)[d]->PutBatch(batch);  // everything routed one way
-    }
-    sub.clear();
-    sub.reserve(by_instance[d].size());
-    for (size_t i : by_instance[d]) sub.push_back(batch[i]);
-    FB_RETURN_NOT_OK((*pool_)[d]->PutBatch(sub));
-  }
-  return Status::OK();
+  return PutBatchByInstance(instances_, batch, dst);
 }
 
 ChunkStoreStats ServletChunkStore::stats() const {
   // The view aggregates everything reachable in-process (shared storage
   // semantics), plus this servlet's own cache and peer-fetch counters.
   ChunkStoreStats total;
-  if (pool_ == nullptr) {
-    total.Accumulate(owned_local_->stats());
-  } else {
-    for (const auto& s : *pool_) total.Accumulate(s->stats());
+  for (const ChunkStore* instance : instances_) {
+    total.Accumulate(instance->stats());
   }
   fallback_cache_.AddStatsTo(&total);
-  if (PeerChunkResolver* peers = peers_.load(std::memory_order_acquire)) {
-    total.peer_fetches = peers->fetches();
-    total.peer_fetch_failures = peers->failures();
-    total.peer_fetch_negatives = peers->negatives();
-    total.peer_round_trips = peers->round_trips();
+  if (peers_ != nullptr) {
+    total.peer_fetches = peers_->fetches();
+    total.peer_fetch_failures = peers_->failures();
+    total.peer_fetch_negatives = peers_->negatives();
+    total.peer_round_trips = peers_->round_trips();
   }
   return total;
+}
+
+std::vector<ChunkStore*> Cluster::instances() const {
+  std::vector<ChunkStore*> out;
+  out.reserve(pool_.size());
+  for (const auto& instance : pool_) out.push_back(instance.get());
+  return out;
 }
 
 Cluster::Cluster(ClusterOptions options)
@@ -187,8 +166,7 @@ Cluster::Cluster(ClusterOptions options)
   }
   for (size_t i = 0; i < options_.num_servlets; ++i) {
     views_.push_back(std::make_unique<ServletChunkStore>(
-        &pool_, i, options_.two_layer_partitioning,
-        options_.fallback_cache_bytes));
+        instances(), i, options_.two_layer_partitioning));
     servlets_.push_back(
         std::make_unique<ForkBase>(options_.db, views_.back().get()));
   }

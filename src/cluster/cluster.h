@@ -8,10 +8,14 @@
 // chunks evenly even under severely skewed key distributions — the effect
 // measured in Figure 15 (1LP vs 2LP).
 //
-// Nodes are simulated in-process: each servlet is an embedded ForkBase
-// engine with its own striped BranchManager (src/branch), so
+// Cluster simulates the nodes in-process: each servlet is an embedded
+// ForkBase engine with its own striped BranchManager (src/branch), so
 // shared-nothing scaling (Figure 8) is exercised with real threads and
 // commits on independent keys never contend, within or across servlets.
+// The same servlet chunk view runs standalone in `forkbased` as a pool
+// of one, where fetches from peer servlets stand in for the shared pool.
+// A ClusterClient (client.h) drives one deployment or the other: all
+// shards in-process, or all behind remote endpoints.
 
 #ifndef FORKBASE_CLUSTER_CLUSTER_H_
 #define FORKBASE_CLUSTER_CLUSTER_H_
@@ -33,9 +37,6 @@ struct ClusterOptions {
   // true  => two-layer partitioning (2LP): data chunks spread by cid.
   // false => one-layer partitioning (1LP): all chunks stay servlet-local.
   bool two_layer_partitioning = true;
-  // Byte budget of each servlet's chunk cache in front of the pool-scan
-  // read fallback (0 disables it).
-  size_t fallback_cache_bytes = AdmissionChunkCache::kFallbackCapacityBytes;
 };
 
 // The servlet the dispatcher routes `key` to in an `n`-shard layout —
@@ -43,51 +44,56 @@ struct ClusterOptions {
 // clients, so every deployment agrees on key placement.
 size_t ShardOfKey(const std::string& key, size_t n);
 
+// Writes `batch` into `instances`, entry i into instances[dst[i]], with
+// one PutBatch per instance touched (so each instance's striped locks
+// are taken once per batch). A batch bound for one instance is forwarded
+// without copying.
+Status PutBatchByInstance(const std::vector<ChunkStore*>& instances,
+                          const ChunkBatch& batch,
+                          const std::vector<size_t>& dst);
+
+// Reads `cid` from instances[first], then from every other instance in
+// order; NotFound only when all of them miss.
+Status GetFromAny(const std::vector<ChunkStore*>& instances, size_t first,
+                  const Hash& cid, Chunk* chunk);
+
 class PeerChunkResolver;
 
-// A chunk store view for one servlet, in either of two deployments:
+// One servlet's chunk store view: node `local_id` over a cid-partitioned
+// pool of chunk-storage instances (Section 4.6). Meta chunks pin to the
+// local instance; data chunks route to the pool by cid (2LP) or stay
+// local (1LP). Every instance of the pool is readable from every node,
+// so chunks another placement wrote (client-built trees, delegated
+// construction) stay reachable.
 //
-//  * In-process cluster node: meta chunks pin to the local pool
-//    instance; data chunks route to the pool by cid (2LP) or stay local
-//    (1LP). Reads that miss both the routed and the local instance fall
-//    back to a pool-wide scan: placement policy decides where WRITES
-//    land (the Figure 15 storage-distribution story), but every
-//    instance of the cluster-wide pool is readable from every node, so
-//    chunks written by other placement policies (client-built trees,
-//    delegated construction) stay reachable.
-//  * Standalone servlet process (`forkbased`): all writes land in one
-//    local store (Mem or Log); there is no shared pool to scan.
-//
-// Either way the read path degrades in the same order: expected
-// location(s) -> byte-capped chunk cache -> peer fetch. The peer resolver
-// (when attached) is the cross-process half of the shared-pool
-// semantics: a miss is resolved from peer servlet endpoints, cached, and
-// returned; hit/miss and peer-fetch counts surface in stats(). A
-// resolver answer of Unavailable (a peer could not be asked) propagates
-// as Unavailable, never as NotFound — absence was not proven.
+// An in-process Cluster node views the shared pool; a standalone servlet
+// process (`forkbased`) is a pool of one — its own store — whose misses
+// go to its peers instead. Either way reads degrade in the same order:
+// cid-routed instance -> local instance -> byte-capped fallback cache ->
+// the rest of the pool -> peer fetch. A peer resolver answer of
+// Unavailable (a peer could not be asked) propagates as Unavailable,
+// never as NotFound — absence was not proven. Hit/miss and peer-fetch
+// counts surface in stats().
 class ServletChunkStore : public ChunkStore {
  public:
-  // In-process cluster node over the shared pool.
-  ServletChunkStore(std::vector<std::unique_ptr<MemChunkStore>>* pool,
-                    size_t local_id, bool two_layer,
-                    size_t fallback_cache_bytes =
-                        AdmissionChunkCache::kFallbackCapacityBytes)
-      : pool_(pool),
+  // Node `local_id` of an in-process cluster over `instances` (not
+  // owned; they outlive the view). No peer resolver: the pool is the
+  // whole cluster.
+  ServletChunkStore(std::vector<ChunkStore*> instances, size_t local_id,
+                    bool two_layer)
+      : instances_(std::move(instances)),
         local_id_(local_id),
         two_layer_(two_layer),
-        fallback_cache_(fallback_cache_bytes) {}
+        peers_(nullptr) {}
 
-  // Standalone servlet process: every chunk lives in `local`; misses
-  // consult the cache, then the peer resolver (both optional).
+  // Standalone servlet process: a pool of one, owning `local`; misses
+  // consult the cache, then `peers` (optional; it must outlive the view).
   ServletChunkStore(std::unique_ptr<ChunkStore> local,
-                    PeerChunkResolver* peers,
-                    size_t fallback_cache_bytes =
-                        AdmissionChunkCache::kFallbackCapacityBytes)
-      : pool_(nullptr),
-        owned_local_(std::move(local)),
+                    PeerChunkResolver* peers)
+      : owned_local_(std::move(local)),
+        instances_{owned_local_.get()},
         local_id_(0),
         two_layer_(false),
-        fallback_cache_(fallback_cache_bytes),
         peers_(peers) {}
 
   using ChunkStore::Put;
@@ -95,8 +101,7 @@ class ServletChunkStore : public ChunkStore {
   Status Get(const Hash& cid, Chunk* chunk) const override;
   bool Contains(const Hash& cid) const override;
   // Groups the batch by destination instance (meta -> local, data ->
-  // cid-routed) so each instance's striped locks are taken once per
-  // batch, as on the embedded bulk-load path.
+  // cid-routed), as on the embedded bulk-load path.
   Status PutBatch(const ChunkBatch& batch) override;
   // The batched read: every cid that misses in-process is resolved in
   // ONE peer fetch batch, so a traversal of a remote tree costs round
@@ -105,45 +110,38 @@ class ServletChunkStore : public ChunkStore {
                   std::vector<Chunk>* chunks) const override;
   ChunkStoreStats stats() const override;
 
-  // Attaches (or detaches, with nullptr) the peer resolver consulted
-  // after every local location missed. The resolver must outlive its
-  // attachment; swapping is safe against concurrent Gets.
-  void set_peer_resolver(PeerChunkResolver* peers) {
-    peers_.store(peers, std::memory_order_release);
-  }
-
-  // The physically local store — what this servlet serves to PEERS
+  // Everything stored in-process — what this servlet serves to PEERS
   // asking over kChunkPeerGet. Never consults cache or resolver, so two
   // servlets missing the same cid cannot ping-pong.
   Status GetLocal(const Hash& cid, Chunk* chunk) const;
-  ChunkStore* local_store() const {
-    return owned_local_ != nullptr ? owned_local_.get()
-                                   : (*pool_)[local_id_].get();
-  }
+  // This node's own instance.
+  ChunkStore* local_store() const { return instances_[local_id_]; }
 
  private:
   size_t DataInstanceOf(const Hash& cid) const {
     if (!two_layer_) return local_id_;
-    return static_cast<size_t>(cid.Low64() % pool_->size());
+    return static_cast<size_t>(cid.Low64() % instances_.size());
   }
-  MemChunkStore* RouteData(const Hash& cid) const {
-    return (*pool_)[DataInstanceOf(cid)].get();
+  // Where a write of `chunk` lands: meta chunks are only read by the
+  // servlet that owns the key, so they always stay local.
+  size_t InstanceOf(const Hash& cid, const Chunk& chunk) const {
+    return chunk.type() == ChunkType::kMeta ? local_id_ : DataInstanceOf(cid);
   }
   // Everything reachable without the network: the expected location(s),
-  // the fallback cache, and (cluster mode) the pool-wide scan. NotFound
-  // here means "miss in-process" — the peer tail comes after.
+  // the fallback cache, and the rest of the pool. NotFound here means
+  // "miss in-process" — the peer tail comes after.
   Status GetInProcess(const Hash& cid, Chunk* chunk) const;
 
-  // Mode selection is fixed at construction — const, so concurrent
-  // readers can branch on these without synchronization by design
-  // rather than by accident.
-  std::vector<std::unique_ptr<MemChunkStore>>* const pool_;  // cluster mode
-  const std::unique_ptr<ChunkStore> owned_local_;  // standalone mode
+  // Fixed at construction — const, so concurrent readers need no
+  // synchronization.
+  const std::unique_ptr<ChunkStore> owned_local_;  // standalone only
+  const std::vector<ChunkStore*> instances_;
   const size_t local_id_;
   const bool two_layer_;
+  PeerChunkResolver* const peers_;  // may be null
   // Get() is const; caching is not.
-  mutable AdmissionChunkCache fallback_cache_;
-  std::atomic<PeerChunkResolver*> peers_{nullptr};
+  mutable AdmissionChunkCache fallback_cache_{
+      AdmissionChunkCache::kFallbackCapacityBytes};
 };
 
 // The simulated deployment: master + dispatcher + N servlets. Clients do
@@ -185,18 +183,13 @@ class Cluster {
     return {build_counts_.begin(), build_counts_.end()};
   }
 
-  // Attaches `peers` to every servlet's chunk view (nullptr detaches) —
-  // the cross-process half of the shared pool, used by mixed
-  // deployments where some shards live behind remote endpoints. The
-  // resolver must outlive the attachment.
-  void AttachPeerResolver(PeerChunkResolver* peers) {
-    for (auto& view : views_) view->set_peer_resolver(peers);
-  }
-
   const ClusterOptions& options() const { return options_; }
 
  private:
   friend class ClusterClient;  // pool access for the client chunk view
+
+  // The pool's instances, in node order.
+  std::vector<ChunkStore*> instances() const;
 
   ForkBase* Route(const std::string& key) {
     return servlets_[ServletOf(key)].get();

@@ -271,11 +271,25 @@ bool ReplicaGroup::ShipOnce(FollowerState* f) {
 }
 
 bool ReplicaGroup::ShipSnapshot(FollowerState* f) {
+  // Pin the trim floor before reading the offset (a trim that read the
+  // log end before the pin cannot pass `off`), then raise the pin to
+  // it: the follower replays from `off` once the snapshot lands, and a
+  // busy leader trimming past it would force another snapshot.
+  PinForSnapshot(f, 0);
   // Offset first, export second: every record below `off` was appended
   // inside a branch-stripe section the export must wait for, so the
   // snapshot is guaranteed to cover all of [0, off). Records >= off may
   // overlap the snapshot; replaying them is convergent.
   const uint64_t off = log_.end_offset();
+  PinForSnapshot(f, off);
+  if (SendSnapshot(f, off)) return true;
+  // A follower the snapshot did not reach holds no floor until the next
+  // attempt.
+  PinForSnapshot(f, FollowerState::kNoPin);
+  return false;
+}
+
+bool ReplicaGroup::SendSnapshot(FollowerState* f, uint64_t off) {
   auto state = engine_->ExportBranchState();
   if (!state.ok()) return false;
   if (role_cache_.load(std::memory_order_acquire) != Role::kLeader) {
@@ -297,16 +311,25 @@ bool ReplicaGroup::ShipSnapshot(FollowerState* f) {
     return true;
   }
   snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
-  f->needs_snapshot.store(false, std::memory_order_release);
   f->next.store(acked, std::memory_order_release);
-  RecordAck(f, acked);
+  RecordAck(f, acked);  // clears needs_snapshot and the pin
   return true;
+}
+
+void ReplicaGroup::PinForSnapshot(FollowerState* f, uint64_t pin) {
+  MutexLock lock(state_mu_);
+  f->snapshot_pin.store(pin, std::memory_order_release);
 }
 
 void ReplicaGroup::RecordAck(FollowerState* f, uint64_t acked) {
   {
     MutexLock lock(state_mu_);
     f->acked.store(acked, std::memory_order_release);
+    // An ack means the follower holds a prefix it extends by replay: a
+    // snapshot it needed has landed (one lock section, so no trim sees
+    // the follower as neither pinned nor acked).
+    f->needs_snapshot.store(false, std::memory_order_release);
+    f->snapshot_pin.store(FollowerState::kNoPin, std::memory_order_release);
     state_cv_.SignalAll();
   }
   TrimAcked();
@@ -329,7 +352,13 @@ void ReplicaGroup::TrimAcked() {
       if (!registered) return;
     }
     for (const auto& f : followers_) {
-      floor = std::min(floor, f->acked.load(std::memory_order_acquire));
+      // A follower awaiting a snapshot (a new leader's dead ex-leader,
+      // say) can use no retained record; only its in-flight snapshot
+      // pins the floor. Its `acked` still counts toward quorums.
+      floor = std::min(floor,
+                       f->needs_snapshot.load(std::memory_order_acquire)
+                           ? f->snapshot_pin.load(std::memory_order_acquire)
+                           : f->acked.load(std::memory_order_acquire));
     }
   }
   // A follower that re-registers below `floor` meanwhile gets a snapshot.

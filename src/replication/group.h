@@ -187,6 +187,12 @@ class ReplicaGroup : public BranchMutationObserver,
     std::atomic<uint64_t> next{0};
     std::atomic<uint64_t> acked{0};
     std::atomic<bool> needs_snapshot{false};
+    // A follower that needs a snapshot can use no retained record, so it
+    // holds no trim floor — except while its snapshot is in flight: then
+    // the records from the snapshot's offset on must survive for it to
+    // replay. kNoPin otherwise. Written under state_mu_.
+    static constexpr uint64_t kNoPin = UINT64_MAX;
+    std::atomic<uint64_t> snapshot_pin{kNoPin};
     std::atomic<bool> stalled{false};
     std::atomic<bool> stop{false};
     std::thread sender;
@@ -200,11 +206,17 @@ class ReplicaGroup : public BranchMutationObserver,
   // f->next/f->acked from the ack. Returns false when the connection
   // should be dropped.
   bool ShipOnce(FollowerState* f);
+  // Pins the trim floor for a snapshot at the log end, then sends it.
   bool ShipSnapshot(FollowerState* f);
+  // One kReplSnapshot round trip covering [0, off).
+  bool SendSnapshot(FollowerState* f, uint64_t off);
   // Stores a follower's ack, wakes quorum waiters, then trims the log.
   void RecordAck(FollowerState* f, uint64_t acked);
+  // Sets f->snapshot_pin under state_mu_.
+  void PinForSnapshot(FollowerState* f, uint64_t pin);
   // Leader only: drops the log prefix every registered follower has
-  // acked, once every other member has registered.
+  // acked (a follower awaiting a snapshot counts only its pin), once
+  // every other member has registered.
   void TrimAcked();
 
   // Applies one shipped record on a follower (chunk -> store, mutation

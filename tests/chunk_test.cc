@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -730,6 +731,81 @@ TEST(AdmissionChunkCacheTest, OversizedChunkIsNeverCached) {
   EXPECT_EQ(cache.stats().rejections, 1u);
 }
 
+std::vector<ChunkStore*> Instances(
+    const std::vector<std::unique_ptr<MemChunkStore>>& pool) {
+  std::vector<ChunkStore*> out;
+  for (const auto& instance : pool) out.push_back(instance.get());
+  return out;
+}
+
+std::vector<std::unique_ptr<MemChunkStore>> MakePool(size_t n) {
+  std::vector<std::unique_ptr<MemChunkStore>> pool;
+  for (size_t i = 0; i < n; ++i) {
+    pool.push_back(std::make_unique<MemChunkStore>());
+  }
+  return pool;
+}
+
+// For each chunk of `chunks`, the indices of the pool instances holding it.
+std::vector<std::vector<size_t>> Placement(
+    const std::vector<std::unique_ptr<MemChunkStore>>& pool,
+    const ChunkBatch& chunks) {
+  std::vector<std::vector<size_t>> out;
+  for (const auto& entry : chunks) {
+    out.emplace_back();
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (pool[i]->Contains(entry.first)) out.back().push_back(i);
+    }
+  }
+  return out;
+}
+
+TEST(ServletChunkStoreTest, PlacementFollowsTheLayerPolicyForPutAndPutBatch) {
+  constexpr size_t kN = 4;
+  constexpr size_t kLocal = 1;
+  // Meta and data chunks mixed, enough of them to reach every instance.
+  ChunkBatch chunks;
+  for (int i = 0; i < 32; ++i) {
+    const Chunk c = MakeChunk(i % 4 == 0 ? ChunkType::kMeta : ChunkType::kBlob,
+                              "placed chunk " + std::to_string(i));
+    chunks.emplace_back(c.ComputeCid(), c);
+  }
+
+  for (const bool two_layer : {true, false}) {
+    SCOPED_TRACE(two_layer ? "2LP" : "1LP");
+    // One chunk at a time...
+    auto by_put = MakePool(kN);
+    ServletChunkStore put_view(Instances(by_put), kLocal, two_layer);
+    for (const auto& [cid, chunk] : chunks) {
+      ASSERT_TRUE(put_view.Put(cid, chunk).ok());
+    }
+    // ...and as one mixed batch land every chunk in the same place.
+    auto by_batch = MakePool(kN);
+    ServletChunkStore batch_view(Instances(by_batch), kLocal, two_layer);
+    ASSERT_TRUE(batch_view.PutBatch(chunks).ok());
+    const auto placed = Placement(by_put, chunks);
+    EXPECT_EQ(Placement(by_batch, chunks), placed);
+
+    std::set<size_t> data_sites;
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      const auto& [cid, chunk] = chunks[i];
+      // 2LP: meta chunks stay on the servlet, data chunks go by cid.
+      // 1LP: everything stays local.
+      const size_t want = two_layer && chunk.type() != ChunkType::kMeta
+                              ? static_cast<size_t>(cid.Low64() % kN)
+                              : kLocal;
+      EXPECT_EQ(placed[i], std::vector<size_t>{want}) << "chunk " << i;
+      if (chunk.type() != ChunkType::kMeta) data_sites.insert(want);
+      Chunk out;
+      EXPECT_TRUE(put_view.Get(cid, &out).ok());
+      EXPECT_TRUE(put_view.GetLocal(cid, &out).ok());
+    }
+    EXPECT_EQ(data_sites.size(), two_layer ? kN : 1u);
+    EXPECT_EQ(put_view.local_store(), by_put[kLocal].get());
+    EXPECT_EQ(put_view.stats().chunks, chunks.size());
+  }
+}
+
 TEST(ServletChunkStoreTest, FallbackCacheAbsorbsRepeatedPoolScans) {
   // A data chunk parked where neither the cid route nor the local
   // instance expects it (the footprint of a foreign placement policy)
@@ -737,7 +813,7 @@ TEST(ServletChunkStoreTest, FallbackCacheAbsorbsRepeatedPoolScans) {
   // servlet's fallback chunk cache.
   std::vector<std::unique_ptr<MemChunkStore>> pool;
   for (int i = 0; i < 4; ++i) pool.push_back(std::make_unique<MemChunkStore>());
-  ServletChunkStore view(&pool, /*local_id=*/0, /*two_layer=*/true);
+  ServletChunkStore view(Instances(pool), /*local_id=*/0, /*two_layer=*/true);
 
   Chunk stray = MakeChunk(ChunkType::kBlob, "stray chunk content");
   const Hash cid = stray.ComputeCid();
@@ -770,26 +846,37 @@ TEST(ServletChunkStoreTest, FallbackCacheAbsorbsRepeatedPoolScans) {
 TEST(ServletChunkStoreTest, StandaloneModeServesLocalStoreOnly) {
   // The `forkbased` deployment shape: one physical store, no pool. With
   // no peer resolver attached, a miss is an authoritative NotFound, and
-  // GetLocal (what this servlet serves to peers) bypasses the cache.
-  auto local = std::make_unique<MemChunkStore>();
-  MemChunkStore* raw = local.get();
-  ServletChunkStore view(std::move(local), /*peers=*/nullptr);
+  // GetLocal (what this servlet serves to peers) bypasses the cache. A
+  // pool of one behaves the same, even under 2LP.
+  for (const bool standalone : {true, false}) {
+    SCOPED_TRACE(standalone ? "standalone" : "pool of one");
+    auto pool = MakePool(1);
+    MemChunkStore* raw = pool[0].get();
+    auto view = standalone
+                    ? std::make_unique<ServletChunkStore>(std::move(pool[0]),
+                                                          /*peers=*/nullptr)
+                    : std::make_unique<ServletChunkStore>(
+                          Instances(pool), /*local_id=*/0, /*two_layer=*/true);
 
-  const Chunk chunk = MakeChunk(ChunkType::kBlob, "standalone chunk");
-  const Hash cid = chunk.ComputeCid();
-  ASSERT_TRUE(view.Put(cid, chunk).ok());
-  EXPECT_TRUE(raw->Contains(cid)) << "write did not land in the local store";
-  EXPECT_EQ(view.local_store(), raw);
+    const Chunk chunk = MakeChunk(ChunkType::kBlob, "standalone chunk");
+    const Hash cid = chunk.ComputeCid();
+    ASSERT_TRUE(view->Put(cid, chunk).ok());
+    EXPECT_TRUE(raw->Contains(cid)) << "write did not land in the local store";
+    EXPECT_EQ(view->local_store(), raw);
+    const Chunk meta = MakeChunk(ChunkType::kMeta, "standalone meta");
+    ASSERT_TRUE(view->PutBatch({{meta.ComputeCid(), meta}, {cid, chunk}}).ok());
+    EXPECT_TRUE(raw->Contains(meta.ComputeCid()));
 
-  Chunk out;
-  ASSERT_TRUE(view.Get(cid, &out).ok());
-  ASSERT_TRUE(view.GetLocal(cid, &out).ok());
-  EXPECT_TRUE(view.Contains(cid));
+    Chunk out;
+    ASSERT_TRUE(view->Get(cid, &out).ok());
+    ASSERT_TRUE(view->GetLocal(cid, &out).ok());
+    EXPECT_TRUE(view->Contains(cid));
 
-  const Hash missing = Hash::Of(Slice("not stored anywhere"));
-  EXPECT_TRUE(view.Get(missing, &out).IsNotFound());
-  EXPECT_TRUE(view.GetLocal(missing, &out).IsNotFound());
-  EXPECT_EQ(view.stats().peer_fetches, 0u);
+    const Hash missing = Hash::Of(Slice("not stored anywhere"));
+    EXPECT_TRUE(view->Get(missing, &out).IsNotFound());
+    EXPECT_TRUE(view->GetLocal(missing, &out).IsNotFound());
+    EXPECT_EQ(view->stats().peer_fetches, 0u);
+  }
 }
 
 }  // namespace

@@ -881,6 +881,21 @@ TEST(ReplicaGroupTest, FailoverPromotesAFollowerWithNoAckedWriteLoss) {
   })) << "surviving follower never converged";
   EXPECT_EQ(other->group->role(), repl::Role::kFollower);
   EXPECT_EQ(other->group->leader_endpoint(), promoted->endpoint());
+
+  // The dead ex-leader awaits a snapshot it will never take; it must not
+  // pin the new leader's log: what the survivor acked is trimmed.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(promoted->engine
+                    ->Put("doc", "master",
+                          Value::OfString("after " + std::to_string(i)))
+                    .ok());
+  }
+  AwaitCaughtUp(promoted, {other});
+  ASSERT_TRUE(WaitUntil([&] {
+    return Retained(*promoted) <= promoted->group->durable_offset() -
+                                      other->group->durable_offset();
+  })) << "new leader retains " << Retained(*promoted) << " of "
+      << promoted->group->durable_offset() << " records";
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@
 //    hang, clean Status everywhere.
 //  * RemoteService — pipelined Submit with out-of-order completion
 //    (request-id demultiplexing), reconnect after a server restart.
-//  * ClusterClient endpoints — mixed embedded/remote and all-remote
-//    deployments route the same typed API across processes.
+//  * ClusterClient endpoints — an all-remote deployment routes the same
+//    typed API across processes; a Cluster plus endpoints is refused.
 
 #include <gtest/gtest.h>
 
@@ -385,78 +385,32 @@ TEST(RemoteServiceTest, ReconnectsAfterServerRestart) {
 // ClusterClient over endpoints
 // ---------------------------------------------------------------------------
 
-TEST(ClusterEndpointsTest, MixedEmbeddedAndRemoteDeployment) {
-  // Shard 0 lives in-process; shard 1 is a separate server process
-  // (modeled by a second engine behind a socket).
+TEST(ClusterEndpointsTest, RejectsClusterWithEndpoints) {
+  // A client drives an in-process Cluster or remote endpoints, never
+  // both at once (nor neither).
   ClusterOptions copts;
   copts.num_servlets = 2;
   copts.db = SmallOpts();
   Cluster cluster(copts);
-
   ForkBase remote_engine(SmallOpts());
   auto server = rpc::ForkBaseServer::Start(&remote_engine, {});
   ASSERT_TRUE(server.ok());
 
   ClusterClientOptions opts;
-  opts.endpoints = {"", (*server)->endpoint()};
-  auto client = ClusterClient::Connect(&cluster, opts);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  opts.endpoints = {(*server)->endpoint(), (*server)->endpoint()};
+  auto both = ClusterClient::Connect(&cluster, opts);
+  EXPECT_TRUE(both.status().IsInvalidArgument()) << both.status().ToString();
+  auto neither = ClusterClient::Connect(nullptr, {});
+  EXPECT_TRUE(neither.status().IsInvalidArgument())
+      << neither.status().ToString();
 
-  // Keys route across both transports; every commit reads back.
-  std::set<std::string> expected;
-  std::set<size_t> shards_used;
-  for (int i = 0; i < 24; ++i) {
-    const std::string key = MakeKey(i, 8, "mx");
-    shards_used.insert(ShardOfKey(key, 2));
-    ASSERT_TRUE((*client)->Put(key, Value::OfInt(i)).ok()) << key;
-    expected.insert(key);
-    auto obj = (*client)->Get(key);
-    ASSERT_TRUE(obj.ok()) << key;
-    EXPECT_EQ(obj->value().AsInt(), i);
-    // Version-addressed reads work no matter which shard committed the
-    // object: they route to the in-process shard, whose chunk view
-    // peer-fetches from the remote servlet — ONE dispatch, no retries.
-    auto by_uid = (*client)->GetByUid(obj->uid());
-    ASSERT_TRUE(by_uid.ok()) << key << ": " << by_uid.status().ToString();
-  }
-  ASSERT_EQ(shards_used.size(), 2u) << "keys did not span both shards";
-  const auto routes = (*client)->route_stats();
-  EXPECT_EQ(routes.version_commands, routes.version_dispatches)
-      << "a version-addressed command was retried on another shard";
-
-  // ListKeys unions the in-process shard and the remote shard.
-  auto keys = (*client)->ListKeys();
-  ASSERT_TRUE(keys.ok());
-  EXPECT_EQ(std::set<std::string>(keys->begin(), keys->end()), expected);
-
-  // PutMany partitions across transports and reassembles uids in order.
-  std::vector<std::pair<std::string, Value>> kvs;
-  for (int i = 0; i < 16; ++i) {
-    kvs.emplace_back(MakeKey(i, 8, "mb"), Value::OfInt(100 + i));
-  }
-  auto uids = (*client)->PutMany(kvs);
-  ASSERT_TRUE(uids.ok()) << uids.status().ToString();
-  for (size_t i = 0; i < kvs.size(); ++i) {
-    auto obj = (*client)->Get(kvs[i].first);
-    ASSERT_TRUE(obj.ok());
-    EXPECT_EQ(obj->uid(), (*uids)[i]);
-  }
-
-  // Server-side blob construction works on whichever shard owns the key,
-  // and the client's composite chunk view can read both back.
-  for (int i = 0; i < 4; ++i) {
-    const std::string key = MakeKey(i, 8, "blob");
-    const std::string content = "content for " + key;
-    ASSERT_TRUE(
-        (*client)->PutBlob(key, kDefaultBranch, Slice(content)).ok());
-    auto obj = (*client)->Get(key);
-    ASSERT_TRUE(obj.ok());
-    auto blob = (*client)->GetBlob(*obj);
-    ASSERT_TRUE(blob.ok());
-    auto read = blob->ReadAll();
-    ASSERT_TRUE(read.ok()) << read.status().ToString();
-    EXPECT_EQ(BytesToString(*read), content);
-  }
+  // Each shape alone connects.
+  auto in_process = ClusterClient::Connect(&cluster, {});
+  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+  EXPECT_EQ((*in_process)->num_servlets(), 2u);
+  auto remote = ClusterClient::Connect(nullptr, opts);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ((*remote)->num_servlets(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -900,6 +854,42 @@ TEST(ClusterEndpointsTest, AllRemoteDeploymentNeedsNoLocalCluster) {
     Reply r = f.get();
     ASSERT_TRUE(r.ok()) << r.ToStatus().ToString();
   }
+
+  // PutMany partitions across both servers and reassembles the uids in
+  // input order.
+  std::vector<std::pair<std::string, Value>> kvs;
+  std::set<size_t> bulk_shards;
+  for (int i = 0; i < 16; ++i) {
+    kvs.emplace_back(MakeKey(i, 8, "mb"), Value::OfInt(100 + i));
+    bulk_shards.insert(ShardOfKey(kvs.back().first, 2));
+  }
+  ASSERT_EQ(bulk_shards.size(), 2u) << "bulk keys did not span both shards";
+  auto uids = (*client)->PutMany(kvs);
+  ASSERT_TRUE(uids.ok()) << uids.status().ToString();
+  for (size_t i = 0; i < kvs.size(); ++i) {
+    auto obj = (*client)->Get(kvs[i].first);
+    ASSERT_TRUE(obj.ok());
+    EXPECT_EQ(obj->uid(), (*uids)[i]);
+  }
+
+  // Server-side blob construction works on whichever shard owns the key,
+  // and the client's chunk view reads every one back from its server.
+  std::set<size_t> blob_shards;
+  for (int i = 0; i < 4; ++i) {
+    const std::string key = MakeKey(i, 8, "blob");
+    blob_shards.insert(ShardOfKey(key, 2));
+    const std::string content = "content for " + key;
+    ASSERT_TRUE(
+        (*client)->PutBlob(key, kDefaultBranch, Slice(content)).ok());
+    auto obj = (*client)->Get(key);
+    ASSERT_TRUE(obj.ok());
+    auto blob = (*client)->GetBlob(*obj);
+    ASSERT_TRUE(blob.ok());
+    auto read = blob->ReadAll();
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(BytesToString(*read), content);
+  }
+  EXPECT_EQ(blob_shards.size(), 2u) << "blob keys did not span both shards";
 }
 
 }  // namespace
